@@ -15,11 +15,14 @@
 # memory budget, so the serialize/partition/merge paths run under ASan).
 #
 #   $ ./ci.sh              # release + tsan + asan + bench-smoke + fuzz-smoke
+#                          #   + perf-smoke
 #   $ ./ci.sh release      # just the release config
 #   $ ./ci.sh tsan         # just the thread-sanitizer config
 #   $ ./ci.sh asan         # just the address/UB-sanitizer config
 #   $ ./ci.sh bench-smoke  # quick Release run of the perf benches
 #   $ ./ci.sh fuzz-smoke   # time-boxed metamorphic differential fuzz leg
+#   $ ./ci.sh perf-smoke   # short run of the repository benchmark's compile
+#                          #   workload with its correctness checks
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -138,6 +141,18 @@ if [[ "${want}" == "all" || "${want}" == "fuzz-smoke" ]]; then
   (cd "${dir}" && ./tools/fuzz_cbqt --seed 3 --rounds 40 --time-box-ms 0 \
       --fault-sweep "exec-batch:p=0.02;planner:every=7;exec-spill-write:p=0.01" \
       --fault-seed 5)
+fi
+
+if [[ "${want}" == "all" || "${want}" == "perf-smoke" ]]; then
+  # A 5 s run of the repository benchmark's compile workload (Prepare only,
+  # eleven transformable families). Its timings are not gated here; its
+  # correctness checks are, through the exit status: every statement
+  # serializes to identical plan bytes over two Prepares, the cost-based
+  # cost never exceeds the heuristic-only cost, and every timed Prepare
+  # reproduces the statement's cost. perfbench/run.py builds into
+  # .bench_build/.
+  echo "=== [perf-smoke] perfbench compile (5s, seed 1) ==="
+  python3 perfbench/run.py --workload compile --seed 1 --seconds 5 --trace 0
 fi
 
 if [[ "${want}" == "all" || "${want}" == "asan" ]]; then

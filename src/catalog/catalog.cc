@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string_view>
 
+#include "common/hash.h"
 #include "common/str_util.h"
 
 namespace cbqt {
@@ -93,13 +94,9 @@ void HashBytes(uint64_t* h, std::string_view s) {
   // FNV-1a over a length-prefixed string so ("ab","c") != ("a","bc").
   uint64_t len = s.size();
   for (size_t i = 0; i < sizeof(len); ++i) {
-    *h ^= static_cast<uint8_t>(len >> (8 * i));
-    *h *= 1099511628211ull;
+    *h = FnvMix(*h, static_cast<uint8_t>(len >> (8 * i)));
   }
-  for (char c : s) {
-    *h ^= static_cast<uint8_t>(c);
-    *h *= 1099511628211ull;
-  }
+  *h = Fnv1a(s, *h);
 }
 
 void HashStrings(uint64_t* h, const std::vector<std::string>& v) {
@@ -111,7 +108,7 @@ void HashStrings(uint64_t* h, const std::vector<std::string>& v) {
 }  // namespace
 
 uint64_t Catalog::Fingerprint() const {
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kFnvPersistedOffset;
   for (const auto& [name, def] : tables_) {  // std::map: sorted, stable order
     HashBytes(&h, "table");
     HashBytes(&h, name);

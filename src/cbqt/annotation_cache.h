@@ -24,7 +24,9 @@ struct CostAnnotation {
   double cost = 0;
   double rows = 0;
   RelStats out_stats;
-  std::unique_ptr<PlanNode> plan;
+  /// Shared, immutable: a hit hands this very tree to the planner, which
+  /// links it into the new plan instead of copying it.
+  PlanPtr plan;
   /// Exact (non-canonicalized) unparsing of the annotated block. The cache
   /// key canonicalizes orderings SQL leaves free (sql/signature.h), so one
   /// key covers a whole equivalence class; consumers that require

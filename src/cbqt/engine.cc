@@ -455,7 +455,7 @@ void QueryEngine::RunUpgrade(std::shared_ptr<const CachedPlanEntry> entry,
     // Keep serving the degraded plan, but burn the attempt so a statement
     // that cannot be re-optimized stops retrying.
     fresh->tree = entry->tree->Clone();
-    fresh->plan = entry->plan->Clone();
+    fresh->plan = entry->plan;
     fresh->cost = entry->cost;
     fresh->stats = entry->stats;
     fresh->degraded = true;
@@ -504,8 +504,7 @@ Result<PreparedQuery> QueryEngine::PrepareAdmitted(const std::string& sql,
     PreparedQuery out;
     out.tree = e->tree->Clone();
     BindTreeParams(out.tree.get(), ps.params);
-    out.plan = e->plan->Clone();
-    RebindPlanParams(out.plan.get(), ps.params);
+    out.plan = RebindPlanParams(*e->plan, ps.params);
     out.cost = e->cost;
     out.stats = e->stats;
     out.from_plan_cache = true;
@@ -553,7 +552,7 @@ Result<PreparedQuery> QueryEngine::PrepareAdmitted(const std::string& sql,
   fresh->key = std::move(ps.key);
   fresh->stats_epoch = epoch;
   fresh->tree = optimized->tree->Clone();
-  fresh->plan = optimized->plan->Clone();
+  fresh->plan = optimized->plan;
   fresh->source_tree = parsed.value()->Clone();
   fresh->cost = optimized->cost;
   fresh->stats = optimized->stats;

@@ -33,7 +33,7 @@ namespace cbqt {
 /// physical planning and is ready to execute.
 struct PreparedQuery {
   std::unique_ptr<QueryBlock> tree;  ///< the chosen (transformed) query tree
-  std::unique_ptr<PlanNode> plan;    ///< its physical plan
+  PlanPtr plan;                      ///< its physical plan
   double cost = 0;                   ///< estimated cost of `plan`
   CbqtStats stats;                   ///< CBQT telemetry
   double optimize_ms = 0;            ///< wall time of parse + CBQT + planning

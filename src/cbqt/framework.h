@@ -245,7 +245,7 @@ struct CbqtStats {
 /// physical plan, and cost.
 struct CbqtResult {
   std::unique_ptr<QueryBlock> tree;
-  std::unique_ptr<PlanNode> plan;
+  PlanPtr plan;
   double cost = 0;
   CbqtStats stats;
 };

@@ -264,9 +264,7 @@ Result<std::shared_ptr<CachedPlanEntry>> DeserializeCachedPlanEntry(
   }
   CBQT_RETURN_IF_ERROR(r->Bool(&present));
   if (present) {
-    std::unique_ptr<PlanNode> plan;
-    CBQT_RETURN_IF_ERROR(ReadPlanNode(r, &plan));
-    entry->plan = std::move(plan);
+    CBQT_RETURN_IF_ERROR(ReadPlanNode(r, &entry->plan));
   }
   CBQT_RETURN_IF_ERROR(r->Bool(&present));
   if (present) {
@@ -405,10 +403,7 @@ void RebindExprVec(std::vector<ExprPtr>& exprs,
   }
 }
 
-}  // namespace
-
-void RebindPlanParams(PlanNode* plan, const std::vector<Value>& params) {
-  if (plan == nullptr || params.empty()) return;
+void RebindInPlace(PlanNode* plan, const std::vector<Value>& params) {
   RebindExprVec(plan->probes, params);
   RebindExprVec(plan->filter, params);
   RebindExprVec(plan->join_conds, params);
@@ -420,8 +415,21 @@ void RebindPlanParams(PlanNode* plan, const std::vector<Value>& params) {
   RebindExprVec(plan->sort_keys, params);
   RebindExprVec(plan->window_exprs, params);
   for (auto& keys : plan->subplan_corr_keys) RebindExprVec(keys, params);
-  for (auto& sub : plan->subplans) RebindPlanParams(sub.get(), params);
-  for (auto& child : plan->children) RebindPlanParams(child.get(), params);
+  for (const auto& sub : plan->subplans) {
+    RebindInPlace(MutablePlan(sub), params);
+  }
+  for (const auto& child : plan->children) {
+    RebindInPlace(MutablePlan(child), params);
+  }
+}
+
+}  // namespace
+
+PlanPtr RebindPlanParams(const PlanNode& plan,
+                         const std::vector<Value>& params) {
+  std::shared_ptr<PlanNode> copy = ClonePlan(plan);
+  if (!params.empty()) RebindInPlace(copy.get(), params);
+  return copy;
 }
 
 }  // namespace cbqt

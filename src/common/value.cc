@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <functional>
 
+#include "common/hash.h"
+
 namespace cbqt {
 
 double Value::NumericValue() const {
@@ -123,12 +125,9 @@ bool RowsEqualStructural(const Row& a, const Row& b) {
 }
 
 size_t HashRow(const Row& row) {
-  size_t h = 14695981039346656037ULL;
-  for (const Value& v : row) {
-    h ^= v.Hash();
-    h *= 1099511628211ULL;
-  }
-  return h;
+  uint64_t h = kFnvOffset;
+  for (const Value& v : row) h = FnvMix(h, v.Hash());
+  return static_cast<size_t>(h);
 }
 
 int64_t EstimateValueBytes(const Value& v) {

@@ -26,10 +26,9 @@ Result<ExecResult> Executor::Execute(const PlanNode& plan) {
   ctx.spill_dir = options_.spill_dir;
   ctx.shared_scans = options_.shared_scans;
 
-  // Column pruning mutates scan schemas, so it runs on a private clone; the
-  // clone must outlive the operator tree, which holds pointers into it.
-  std::unique_ptr<PlanNode> pruned = plan.Clone();
-  PruneScanColumns(pruned.get());
+  // The pruned copy must outlive the operator tree, which holds pointers
+  // into it.
+  PlanPtr pruned = PruneScanColumns(plan);
 
   auto root = OperatorFactory::Build(*pruned, &ctx);
   if (!root.ok()) return root.status();

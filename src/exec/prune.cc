@@ -87,7 +87,7 @@ std::vector<size_t> PruneNode(PlanNode* node, std::vector<bool> required) {
       // Pass-through: output slot i is child slot i, possibly renamed.
       // Expressions on these nodes compile against the node's own schema
       // (filters) or the child's (sort keys); mark against both namings.
-      PlanNode* child = node->children[0].get();
+      PlanNode* child = MutablePlan(node->children[0]);
       std::vector<bool> creq = required;
       bool ok = MarkList(node->filter, node->output, &creq);
       ok = MarkList(node->filter, child->output, &creq) && ok;
@@ -101,7 +101,7 @@ std::vector<size_t> PruneNode(PlanNode* node, std::vector<bool> required) {
 
     case PlanOp::kDistinct: {
       // Deduplicates on the whole row — every column is semantic.
-      PlanNode* child = node->children[0].get();
+      PlanNode* child = MutablePlan(node->children[0]);
       PruneNode(child, std::vector<bool>(child->output.size(), true));
       return IdentityKept(node->output.size());
     }
@@ -109,15 +109,15 @@ std::vector<size_t> PruneNode(PlanNode* node, std::vector<bool> required) {
     case PlanOp::kSetOp: {
       // Branch outputs align by position and row equality drives the set
       // semantics; pruning any branch would misalign or change results.
-      for (auto& child : node->children) {
-        PruneNode(child.get(),
+      for (const auto& child : node->children) {
+        PruneNode(MutablePlan(child),
                   std::vector<bool>(child->output.size(), true));
       }
       return IdentityKept(node->output.size());
     }
 
     case PlanOp::kWindow: {
-      PlanNode* child = node->children[0].get();
+      PlanNode* child = MutablePlan(node->children[0]);
       size_t cn = child->output.size();
       std::vector<bool> creq(cn, false);
       for (size_t i = 0; i < cn && i < required.size(); ++i) {
@@ -138,7 +138,7 @@ std::vector<size_t> PruneNode(PlanNode* node, std::vector<bool> required) {
     case PlanOp::kProject: {
       // Output is defined by the projections, not the child.
       if (!node->children.empty()) {
-        PlanNode* child = node->children[0].get();
+        PlanNode* child = MutablePlan(node->children[0]);
         std::vector<bool> creq(child->output.size(), false);
         bool ok = MarkList(node->projections, child->output, &creq);
         ok = MarkList(node->filter, child->output, &creq) && ok;
@@ -150,7 +150,7 @@ std::vector<size_t> PruneNode(PlanNode* node, std::vector<bool> required) {
 
     case PlanOp::kAggregate: {
       // Output is keys + aggregates, independent of the input width.
-      PlanNode* child = node->children[0].get();
+      PlanNode* child = MutablePlan(node->children[0]);
       std::vector<bool> creq(child->output.size(), false);
       bool ok = MarkList(node->group_keys, child->output, &creq);
       ok = MarkList(node->agg_exprs, child->output, &creq) && ok;
@@ -163,8 +163,8 @@ std::vector<size_t> PruneNode(PlanNode* node, std::vector<bool> required) {
     case PlanOp::kNestedLoopJoin:
     case PlanOp::kHashJoin:
     case PlanOp::kMergeJoin: {
-      PlanNode* left = node->children[0].get();
-      PlanNode* right = node->children[1].get();
+      PlanNode* left = MutablePlan(node->children[0]);
+      PlanNode* right = MutablePlan(node->children[1]);
       size_t ln = left->output.size();
       size_t rn = right->output.size();
       bool left_only = node->join_kind == JoinKind::kSemi ||
@@ -213,10 +213,10 @@ std::vector<size_t> PruneNode(PlanNode* node, std::vector<bool> required) {
     case PlanOp::kSubqueryFilter: {
       // Subplans resolve correlated references into the outer row's frame by
       // name; keep the child whole, and prune inside each subplan on its own.
-      PlanNode* child = node->children[0].get();
+      PlanNode* child = MutablePlan(node->children[0]);
       PruneNode(child, std::vector<bool>(child->output.size(), true));
-      for (auto& sp : node->subplans) {
-        PruneNode(sp.get(), std::vector<bool>(sp->output.size(), true));
+      for (const auto& sp : node->subplans) {
+        PruneNode(MutablePlan(sp), std::vector<bool>(sp->output.size(), true));
       }
       return IdentityKept(node->output.size());
     }
@@ -226,10 +226,12 @@ std::vector<size_t> PruneNode(PlanNode* node, std::vector<bool> required) {
 
 }  // namespace
 
-void PruneScanColumns(PlanNode* root) {
-  if (root == nullptr) return;
-  // The caller consumes the root schema as-is.
-  PruneNode(root, std::vector<bool>(root->output.size(), true));
+PlanPtr PruneScanColumns(const PlanNode& root) {
+  // Every node of the copy is private to this call, so it is pruned in
+  // place. The caller consumes the root schema as-is.
+  std::shared_ptr<PlanNode> copy = ClonePlan(root);
+  PruneNode(copy.get(), std::vector<bool>(copy->output.size(), true));
+  return copy;
 }
 
 }  // namespace cbqt

@@ -23,8 +23,9 @@ namespace cbqt {
 /// loop left sides (correlated references resolve into their frames by name),
 /// and any expression containing a subquery.
 ///
-/// Call on a plan the executor owns (a clone) — the tree is mutated.
-void PruneScanColumns(PlanNode* root);
+/// Returns the pruned plan as a deep copy (ClonePlan) of `root`; `root`
+/// itself may be shared and is left untouched.
+PlanPtr PruneScanColumns(const PlanNode& root);
 
 }  // namespace cbqt
 

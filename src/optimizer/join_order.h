@@ -11,28 +11,12 @@
 namespace cbqt {
 
 /// One step of a join order being built: a plan fragment plus its estimates.
-///
-/// The fragment is either owned (freshly built by a coster) or borrowed
-/// read-only from a memo/cache entry that the shared_ptr keeps alive.
-/// Borrowing lets a memo hit or a cached base-relation plan be used as a
-/// join input — which only ever reads and Clone()s it — without paying a
-/// deep copy per use; the one place that needs ownership (the completed
-/// enumeration result) materializes it via TakePlan().
+/// The fragment is immutable and may be shared with a memo entry, a cached
+/// base-relation plan and every join built on top of it.
 struct JoinStepPlan {
-  std::unique_ptr<PlanNode> plan;          // owned fragment, or
-  std::shared_ptr<const PlanNode> shared;  // borrowed immutable fragment
+  PlanPtr plan;
   double rows = 0;
   double cost = 0;
-
-  const PlanNode* node() const {
-    return plan != nullptr ? plan.get() : shared.get();
-  }
-  /// Owned plan: moves the owned fragment out, or deep-copies the borrowed
-  /// one (so callers may mutate the result freely).
-  std::unique_ptr<PlanNode> TakePlan() {
-    if (plan != nullptr) return std::move(plan);
-    return shared->Clone();
-  }
 };
 
 /// Cost callbacks implemented by the planner: the enumerator drives the
@@ -60,8 +44,8 @@ class JoinCoster {
 /// Contract (relies on join-cost monotonicity, joined.cost >= left.cost,
 /// which every coster here satisfies): a stored entry is the
 /// cutoff-independent best plan for its subset. Lookup must fill `out` only
-/// when returning kHit, and may fill it with a borrowed (shared) plan — the
-/// enumerator only reads and Clone()s hit plans, never mutates them.
+/// when returning kHit; the plan it fills in is the memoized tree itself,
+/// which the enumerator links into larger joins as a shared child.
 class JoinOrderMemo {
  public:
   virtual ~JoinOrderMemo() = default;

@@ -19,7 +19,7 @@ namespace cbqt {
 
 /// Result of physically optimizing a query tree.
 struct PhysicalOptimization {
-  std::unique_ptr<PlanNode> plan;
+  PlanPtr plan;
   double cost = 0;
   double rows = 0;
   /// Query blocks fully optimized during this call (cache hits excluded) —

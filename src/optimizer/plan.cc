@@ -14,40 +14,47 @@ int FindSlot(const Schema& schema, const std::string& alias,
   return -1;
 }
 
-std::unique_ptr<PlanNode> PlanNode::Clone() const {
-  auto out = std::make_unique<PlanNode>(op);
-  for (const auto& c : children) out->children.push_back(c->Clone());
-  out->output = output;
-  out->table_name = table_name;
-  out->table_alias = table_alias;
-  out->index_name = index_name;
-  for (const auto& e : probes) out->probes.push_back(e->Clone());
-  for (const auto& e : filter) out->filter.push_back(e->Clone());
-  out->join_kind = join_kind;
-  for (const auto& e : join_conds) out->join_conds.push_back(e->Clone());
-  for (const auto& e : hash_left_keys) out->hash_left_keys.push_back(e->Clone());
-  for (const auto& e : hash_right_keys) {
-    out->hash_right_keys.push_back(e->Clone());
+std::shared_ptr<PlanNode> CopyNode(const PlanNode& node) {
+  auto out = std::make_shared<PlanNode>(node.op);
+  auto exprs = [](const std::vector<ExprPtr>& from, std::vector<ExprPtr>* to) {
+    for (const auto& e : from) to->push_back(e->Clone());
+  };
+  out->children = node.children;
+  out->output = node.output;
+  out->table_name = node.table_name;
+  out->table_alias = node.table_alias;
+  out->index_name = node.index_name;
+  exprs(node.probes, &out->probes);
+  exprs(node.filter, &out->filter);
+  out->join_kind = node.join_kind;
+  exprs(node.join_conds, &out->join_conds);
+  exprs(node.hash_left_keys, &out->hash_left_keys);
+  exprs(node.hash_right_keys, &out->hash_right_keys);
+  out->null_aware = node.null_aware;
+  out->rescan_right = node.rescan_right;
+  exprs(node.group_keys, &out->group_keys);
+  exprs(node.agg_exprs, &out->agg_exprs);
+  out->grouping_sets = node.grouping_sets;
+  exprs(node.projections, &out->projections);
+  exprs(node.sort_keys, &out->sort_keys);
+  out->sort_ascending = node.sort_ascending;
+  out->set_op = node.set_op;
+  out->limit = node.limit;
+  exprs(node.window_exprs, &out->window_exprs);
+  out->subplans = node.subplans;
+  out->subplan_corr_keys.resize(node.subplan_corr_keys.size());
+  for (size_t i = 0; i < node.subplan_corr_keys.size(); ++i) {
+    exprs(node.subplan_corr_keys[i], &out->subplan_corr_keys[i]);
   }
-  out->null_aware = null_aware;
-  out->rescan_right = rescan_right;
-  for (const auto& e : group_keys) out->group_keys.push_back(e->Clone());
-  for (const auto& e : agg_exprs) out->agg_exprs.push_back(e->Clone());
-  out->grouping_sets = grouping_sets;
-  for (const auto& e : projections) out->projections.push_back(e->Clone());
-  for (const auto& e : sort_keys) out->sort_keys.push_back(e->Clone());
-  out->sort_ascending = sort_ascending;
-  out->set_op = set_op;
-  out->limit = limit;
-  for (const auto& e : window_exprs) out->window_exprs.push_back(e->Clone());
-  for (const auto& s : subplans) out->subplans.push_back(s->Clone());
-  for (const auto& keys : subplan_corr_keys) {
-    std::vector<ExprPtr> copy;
-    for (const auto& k : keys) copy.push_back(k->Clone());
-    out->subplan_corr_keys.push_back(std::move(copy));
-  }
-  out->est_rows = est_rows;
-  out->est_cost = est_cost;
+  out->est_rows = node.est_rows;
+  out->est_cost = node.est_cost;
+  return out;
+}
+
+std::shared_ptr<PlanNode> ClonePlan(const PlanNode& plan) {
+  std::shared_ptr<PlanNode> out = CopyNode(plan);
+  for (auto& c : out->children) c = ClonePlan(*c);
+  for (auto& s : out->subplans) s = ClonePlan(*s);
   return out;
 }
 

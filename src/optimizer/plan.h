@@ -42,12 +42,22 @@ enum class PlanOp {
   kSubqueryFilter,  ///< TIS evaluation of subquery predicates, with caching
 };
 
+struct PlanNode;
+
+/// A finished, immutable plan (sub)tree. Plans are built bottom-up as
+/// mutable nodes and frozen the moment another node, cache or memo takes a
+/// PlanPtr to them; from then on the subtree is shared by reference count
+/// and never changed. A change to a shared node is a path copy: CopyNode
+/// each node from the root of the change down to the node, sharing every
+/// other child.
+using PlanPtr = std::shared_ptr<const PlanNode>;
+
 /// A node of the physical plan tree. Expressions inside a node reference
 /// the node's *input* schema (its children's concatenated output for joins)
 /// at corr_depth 0, and enclosing TIS/lateral frames at higher depths.
 struct PlanNode {
   PlanOp op;
-  std::vector<std::unique_ptr<PlanNode>> children;
+  std::vector<PlanPtr> children;
   Schema output;
 
   // kTableScan / kIndexScan
@@ -102,7 +112,7 @@ struct PlanNode {
   // kSubqueryFilter: `filter` holds the predicates; `subplans[i]` is the
   // plan of the i-th kSubquery node in pre-order over `filter` (and
   // `projections` for scalar subqueries in the select list).
-  std::vector<std::unique_ptr<PlanNode>> subplans;
+  std::vector<PlanPtr> subplans;
   /// Per subplan: expressions over the outer row forming the TIS cache key
   /// (the correlated outer columns, paper §3.4.4 caching / §2.2.1 TIS).
   std::vector<std::vector<ExprPtr>> subplan_corr_keys;
@@ -116,13 +126,28 @@ struct PlanNode {
   PlanNode(const PlanNode&) = delete;
   PlanNode& operator=(const PlanNode&) = delete;
 
-  std::unique_ptr<PlanNode> Clone() const;
-
   /// Approximate in-memory footprint of this plan tree (node structs,
   /// strings, expressions, subplans), for the memory accounting layer —
-  /// plan-cache entries are charged by this estimate.
+  /// plan-cache entries are charged by this estimate. Shared subtrees are
+  /// counted in full by every tree that reaches them.
   int64_t EstimateBytes() const;
 };
+
+/// Copy of `node` alone: its fields and expressions are copied, its
+/// children and subplans are shared with `node`. The step of a path copy.
+std::shared_ptr<PlanNode> CopyNode(const PlanNode& node);
+
+/// Deep copy of `plan`: every node of the result is new and reachable only
+/// through the result, so its owner may edit it in place (MutablePlan)
+/// before sharing it. Only the executor's column pruning and the plan
+/// cache's parameter re-binding need one.
+std::shared_ptr<PlanNode> ClonePlan(const PlanNode& plan);
+
+/// Mutable access to a node of a tree its caller made with ClonePlan and
+/// has not shared yet. Never use on a plan another owner can reach.
+inline PlanNode* MutablePlan(const PlanPtr& node) {
+  return const_cast<PlanNode*>(node.get());
+}
 
 /// One-line-per-node rendering of a plan tree with cost annotations, for
 /// EXPLAIN-style output and plan-diff experiments (Figure 2 counts plan

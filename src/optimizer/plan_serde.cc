@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/hash.h"
+
 namespace cbqt {
 
 namespace {
@@ -29,15 +31,6 @@ Status DepthCheck(ByteReader* r, int depth) {
 }
 
 }  // namespace
-
-uint64_t Fnv1a64(std::string_view bytes) {
-  uint64_t h = 1469598103934665603ull;
-  for (char c : bytes) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 // ---- ByteWriter ----------------------------------------------------------
 
@@ -468,15 +461,14 @@ void WritePlanNode(const PlanNode& node, ByteWriter* w) {
   w->F64(node.est_cost);
 }
 
-Status ReadPlanNode(ByteReader* r, std::unique_ptr<PlanNode>* out,
-                    int depth) {
+Status ReadPlanNode(ByteReader* r, PlanPtr* out, int depth) {
   CBQT_RETURN_IF_ERROR(DepthCheck(r, depth));
-  auto node = std::make_unique<PlanNode>();
+  auto node = std::make_shared<PlanNode>();
   CBQT_RETURN_IF_ERROR(r->Enum(&node->op, kMaxPlanOp));
   uint32_t n = 0;
   CBQT_RETURN_IF_ERROR(r->Count(&n));
   for (uint32_t i = 0; i < n; ++i) {
-    std::unique_ptr<PlanNode> child;
+    PlanPtr child;
     CBQT_RETURN_IF_ERROR(ReadPlanNode(r, &child, depth + 1));
     node->children.push_back(std::move(child));
   }
@@ -515,7 +507,7 @@ Status ReadPlanNode(ByteReader* r, std::unique_ptr<PlanNode>* out,
   CBQT_RETURN_IF_ERROR(ReadExprVec(r, &node->window_exprs, depth + 1));
   CBQT_RETURN_IF_ERROR(r->Count(&n));
   for (uint32_t i = 0; i < n; ++i) {
-    std::unique_ptr<PlanNode> sub;
+    PlanPtr sub;
     CBQT_RETURN_IF_ERROR(ReadPlanNode(r, &sub, depth + 1));
     node->subplans.push_back(std::move(sub));
   }
@@ -538,7 +530,7 @@ std::string FramePayload(uint32_t magic, std::string payload) {
   w.U32(magic);
   w.U32(kPlanSerdeVersion);
   w.U64(payload.size());
-  w.U64(Fnv1a64(payload));
+  w.U64(Fnv1a(payload, kFnvPersistedOffset));
   std::string out = w.Take();
   out += payload;
   return out;
@@ -568,7 +560,7 @@ Result<std::string_view> UnframePayload(uint32_t magic,
         " bytes present");
   }
   std::string_view payload = bytes.substr(bytes.size() - size);
-  if (Fnv1a64(payload) != checksum) {
+  if (Fnv1a(payload, kFnvPersistedOffset) != checksum) {
     return Status::DataCorruption("plan serde: checksum mismatch");
   }
   return payload;
@@ -580,11 +572,11 @@ std::string SerializePlan(const PlanNode& plan) {
   return FramePayload(kPlanBlobMagic, w.Take());
 }
 
-Result<std::unique_ptr<PlanNode>> DeserializePlan(std::string_view bytes) {
+Result<PlanPtr> DeserializePlan(std::string_view bytes) {
   auto payload = UnframePayload(kPlanBlobMagic, bytes);
   if (!payload.ok()) return payload.status();
   ByteReader r(*payload);
-  std::unique_ptr<PlanNode> plan;
+  PlanPtr plan;
   CBQT_RETURN_IF_ERROR(ReadPlanNode(&r, &plan));
   if (!r.exhausted()) {
     return r.Fail(std::to_string(r.remaining()) +

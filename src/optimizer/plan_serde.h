@@ -42,10 +42,6 @@ inline constexpr uint32_t kPlanSerdeVersion = 1;
 /// fail typed instead of overflowing the stack.
 inline constexpr int kSerdeMaxDepth = 200;
 
-/// FNV-1a 64-bit over `bytes` — the payload checksum of framed blobs and of
-/// shared-store records.
-uint64_t Fnv1a64(std::string_view bytes);
-
 /// Append-only encoder. Never fails; the buffer grows as needed.
 class ByteWriter {
  public:
@@ -130,8 +126,7 @@ Status ReadQueryBlock(ByteReader* r, std::unique_ptr<QueryBlock>* out,
                       int depth = 0);
 
 void WritePlanNode(const PlanNode& node, ByteWriter* w);
-Status ReadPlanNode(ByteReader* r, std::unique_ptr<PlanNode>* out,
-                    int depth = 0);
+Status ReadPlanNode(ByteReader* r, PlanPtr* out, int depth = 0);
 
 // ---- framing -------------------------------------------------------------
 
@@ -154,7 +149,7 @@ std::string SerializePlan(const PlanNode& plan);
 
 /// Inverse of SerializePlan. Typed DataCorruption for malformed bytes
 /// (including trailing garbage after the tree).
-Result<std::unique_ptr<PlanNode>> DeserializePlan(std::string_view bytes);
+Result<PlanPtr> DeserializePlan(std::string_view bytes);
 
 }  // namespace cbqt
 

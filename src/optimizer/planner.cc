@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 
+#include "common/hash.h"
 #include "common/str_util.h"
 #include "sql/expr_util.h"
 #include "sql/signature.h"
@@ -247,7 +248,7 @@ Result<JoinStepPlan> Planner::BuildScan(
 
   JoinStepPlan step;
   if (best_index == nullptr) {
-    auto node = std::make_unique<PlanNode>(PlanOp::kTableScan);
+    auto node = std::make_shared<PlanNode>(PlanOp::kTableScan);
     node->table_name = tr.table_name;
     node->table_alias = tr.alias;
     node->output = SchemaForTable(tr);
@@ -259,7 +260,7 @@ Result<JoinStepPlan> Planner::BuildScan(
     step.cost = full_cost;
     return step;
   }
-  auto node = std::make_unique<PlanNode>(PlanOp::kIndexScan);
+  auto node = std::make_shared<PlanNode>(PlanOp::kIndexScan);
   node->table_name = tr.table_name;
   node->table_alias = tr.alias;
   node->index_name = best_index->name;
@@ -292,7 +293,7 @@ namespace {
 struct RelEntry {
   const TableRef* tr = nullptr;
   std::vector<const Expr*> filters;          // single-alias predicates
-  std::unique_ptr<PlanNode> derived_plan;    // planned view (cloned on use)
+  PlanPtr derived_plan;                      // planned view (shared on use)
   double derived_cost = 0;
   double derived_rows = 0;
   bool lateral = false;
@@ -324,13 +325,13 @@ class BlockJoinCoster : public JoinCoster {
     if (r.tr->IsBaseTable()) {
       return planner_->BuildScan(*r.tr, r.filters, {}, ctx_);
     }
-    // Derived table: clone the pre-planned view, apply its filters.
+    // Derived table: the pre-planned view, with its filters applied.
     JoinStepPlan step;
-    step.plan = r.derived_plan->Clone();
+    step.plan = r.derived_plan;
     step.rows = r.derived_rows;
     step.cost = r.derived_cost;
     if (!r.filters.empty()) {
-      auto filter = std::make_unique<PlanNode>(PlanOp::kFilter);
+      auto filter = std::make_shared<PlanNode>(PlanOp::kFilter);
       filter->output = step.plan->output;
       for (const Expr* f : r.filters) filter->filter.push_back(f->Clone());
       step.rows *= ConjSelectivity(r.filters, ctx_);
@@ -498,13 +499,13 @@ class BlockJoinCoster : public JoinCoster {
     if (!best.valid) return Status::CostCutoff();
 
     // ---- build the chosen node ----
-    auto node = std::make_unique<PlanNode>(best.op);
+    auto node = std::make_shared<PlanNode>(best.op);
     node->join_kind = kind;
     node->null_aware = null_aware;
-    node->children.push_back(left.node()->Clone());
+    node->children.push_back(left.plan);
 
     if (best.op == PlanOp::kHashJoin || best.op == PlanOp::kMergeJoin) {
-      node->children.push_back(right_base->node()->Clone());
+      node->children.push_back(right_base->plan);
       std::set<const Expr*> used;
       for (const auto& eq : equis) {
         node->hash_left_keys.push_back(eq.left_side->Clone());
@@ -514,24 +515,6 @@ class BlockJoinCoster : public JoinCoster {
       for (const Expr* c : conds) {
         if (used.count(c) == 0) node->join_conds.push_back(c->Clone());
       }
-    } else if (r.lateral) {
-      node->rescan_right = true;
-      std::unique_ptr<PlanNode> right = r.derived_plan->Clone();
-      if (!r.filters.empty()) {
-        // Single-alias WHERE predicates on the lateral view apply to its
-        // output on every rescan.
-        auto filter = std::make_unique<PlanNode>(PlanOp::kFilter);
-        filter->output = right->output;
-        for (const Expr* f : r.filters) filter->filter.push_back(f->Clone());
-        filter->est_rows =
-            std::max(right->est_rows * ConjSelectivity(r.filters, ctx_), 0.0);
-        filter->est_cost =
-            right->est_cost + right->est_rows * PredEvalCost(r.filters, P_);
-        filter->children.push_back(std::move(right));
-        right = std::move(filter);
-      }
-      node->children.push_back(std::move(right));
-      for (const Expr* c : conds) node->join_conds.push_back(c->Clone());
     } else if (best.use_index) {
       node->rescan_right = true;
       std::vector<std::pair<std::string, const Expr*>> extra;
@@ -556,7 +539,10 @@ class BlockJoinCoster : public JoinCoster {
         if (probe_preds.count(c) == 0) node->join_conds.push_back(c->Clone());
       }
     } else {
-      node->children.push_back(right_base->node()->Clone());
+      // A lateral view (with its single-alias WHERE filters on top, see
+      // BaseRel) is re-evaluated for every left row.
+      node->rescan_right = r.lateral;
+      node->children.push_back(right_base->plan);
       for (const Expr* c : conds) node->join_conds.push_back(c->Clone());
     }
 
@@ -572,7 +558,7 @@ class BlockJoinCoster : public JoinCoster {
 
     double step_cost = best.cost;
     if (!post_conds.empty()) {
-      auto filter = std::make_unique<PlanNode>(PlanOp::kFilter);
+      auto filter = std::make_shared<PlanNode>(PlanOp::kFilter);
       filter->output = node->output;
       for (const Expr* c : post_conds) filter->filter.push_back(c->Clone());
       step_cost += out_rows * PredEvalCost(post_conds, P_);
@@ -625,15 +611,7 @@ class BlockJoinCoster : public JoinCoster {
       if (!base.ok()) return base.status();
       it = base_cache_.emplace(rel, std::move(base.value())).first;
     }
-    JoinStepPlan copy;
-    // Borrow the cached scan: Join() only reads and Clone()s the right
-    // input, and the cache entry (a stable map node) outlives every
-    // borrower, all of which die with the enumeration.
-    copy.shared = std::shared_ptr<const PlanNode>(std::shared_ptr<void>(),
-                                                  it->second.plan.get());
-    copy.rows = it->second.rows;
-    copy.cost = it->second.cost;
-    return copy;
+    return it->second;
   }
 
   Planner* planner_;
@@ -677,11 +655,11 @@ class SubsetJoinMemo : public JoinOrderMemo {
     // fingerprint strings per probe.
     rel_h_.reserve(rel_fps.size());
     for (const std::string& fp : rel_fps) {
-      rel_h_.push_back({Fnv1a(fp, kSeedLo), Fnv1a(fp, kSeedHi)});
+      rel_h_.push_back({Fnv1a(fp), Fnv1a(fp, kSeedHi)});
     }
     pred_h_.reserve(pred_fps.size());
     for (const auto& [pmask, fp] : pred_fps) {
-      pred_h_.push_back({pmask, {Fnv1a(fp, kSeedLo), Fnv1a(fp, kSeedHi)}});
+      pred_h_.push_back({pmask, {Fnv1a(fp), Fnv1a(fp, kSeedHi)}});
     }
   }
 
@@ -695,11 +673,9 @@ class SubsetJoinMemo : public JoinOrderMemo {
     // join_order.h): a best above the cutoff means the subset is pruned
     // under it, exactly as a from-scratch DP would conclude.
     if (hit->cost > cutoff) return Probe::kPruned;
-    // Borrow the memoized plan: the aliasing shared_ptr pins the cache
-    // entry (Find hands out ownership), so the hit stays valid even if the
-    // entry is evicted mid-enumeration. No per-hit deep copy.
-    out->plan.reset();
-    out->shared = std::shared_ptr<const PlanNode>(hit, hit->plan.get());
+    // The memoized plan itself, shared: it stays valid even if the entry is
+    // evicted mid-enumeration.
+    out->plan = hit->plan;
     out->rows = hit->rows;
     out->cost = hit->cost;
     return Probe::kHit;
@@ -709,7 +685,7 @@ class SubsetJoinMemo : public JoinOrderMemo {
     CostAnnotation ann;
     ann.cost = step.cost;
     ann.rows = step.rows;
-    ann.plan = step.node()->Clone();
+    ann.plan = step.plan;
     char key[kKeyLen];
     KeyFor(mask, key);
     cache_->Put(std::string_view(key, kKeyLen), std::move(ann));
@@ -720,26 +696,18 @@ class SubsetJoinMemo : public JoinOrderMemo {
     uint64_t lo;
     uint64_t hi;
   };
-  static constexpr uint64_t kSeedLo = 14695981039346656037ULL;  // FNV offset
   static constexpr uint64_t kSeedHi = 0x9e3779b97f4a7c15ULL;
   static constexpr size_t kKeyLen = 3 + 32;  // "jo:" + 2x16 hex chars
 
-  static uint64_t Fnv1a(std::string_view s, uint64_t h) {
-    for (unsigned char c : s) {
-      h ^= c;
-      h *= 1099511628211ULL;
-    }
-    return h;
-  }
   static void Mix(Hash128* acc, const Hash128& v) {
     // Order-dependent combine (serialization order carries the tie-break
     // identity argument, so the key must not be commutative).
-    acc->lo = (acc->lo ^ v.lo) * 1099511628211ULL + (acc->lo << 7);
+    acc->lo = FnvMix(acc->lo, v.lo) + (acc->lo << 7);
     acc->hi = (acc->hi ^ v.hi) * 0xc2b2ae3d27d4eb4fULL + (acc->hi >> 9);
   }
 
   void KeyFor(uint64_t mask, char out[kKeyLen]) const {
-    Hash128 acc{kSeedLo, kSeedHi};
+    Hash128 acc{kFnvOffset, kSeedHi};
     for (size_t i = 0; i < rel_h_.size(); ++i) {
       if (mask & (1ULL << i)) Mix(&acc, rel_h_[i]);
     }
@@ -792,7 +760,7 @@ Result<BlockPlan> Planner::PlanBlock(const QueryBlock& qb) {
     // plan text (tie-breaks followed the cached member's orderings).
     if (hit != nullptr && (relaxed_reuse_ || hit->exact_sql == exact)) {
       BlockPlan out;
-      out.plan = hit->plan->Clone();
+      out.plan = hit->plan;
       out.out_stats = hit->out_stats;
       return out;
     }
@@ -806,7 +774,7 @@ Result<BlockPlan> Planner::PlanBlock(const QueryBlock& qb) {
     ann.cost = result->plan->est_cost;
     ann.rows = result->plan->est_rows;
     ann.out_stats = result->out_stats;
-    ann.plan = result->plan->Clone();
+    ann.plan = result->plan;
     ann.exact_sql = std::move(exact);
     cache_->Put(sig, std::move(ann));
   }
@@ -814,7 +782,7 @@ Result<BlockPlan> Planner::PlanBlock(const QueryBlock& qb) {
 }
 
 Result<BlockPlan> Planner::PlanSetOp(const QueryBlock& qb) {
-  auto node = std::make_unique<PlanNode>(PlanOp::kSetOp);
+  auto node = std::make_shared<PlanNode>(PlanOp::kSetOp);
   node->set_op = qb.set_op;
   double rows = 0;
   double cost = 0;
@@ -849,9 +817,9 @@ Result<BlockPlan> Planner::PlanSetOp(const QueryBlock& qb) {
   node->est_cost = cost;
   if (node->est_cost > cutoff_) return Status::CostCutoff();
 
-  std::unique_ptr<PlanNode> top = std::move(node);
+  PlanPtr top = std::move(node);
   if (qb.rownum_limit >= 0) {
-    auto limit = std::make_unique<PlanNode>(PlanOp::kLimit);
+    auto limit = std::make_shared<PlanNode>(PlanOp::kLimit);
     limit->limit = qb.rownum_limit;
     limit->output = top->output;
     limit->est_rows = std::min(static_cast<double>(qb.rownum_limit),
@@ -873,7 +841,7 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
 
   // ---- 0. No-FROM block: a single synthetic row. ----
   if (qb.from.empty()) {
-    auto node = std::make_unique<PlanNode>(PlanOp::kProject);
+    auto node = std::make_shared<PlanNode>(PlanOp::kProject);
     for (const auto& item : qb.select) {
       node->projections.push_back(item.expr->Clone());
       node->output.push_back(ColumnSlot{"", item.alias, item.expr->type});
@@ -963,15 +931,17 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
     } else {
       auto sub = PlanBlock(*tr.derived);
       if (!sub.ok()) return sub.status();
-      // Re-tag the view's output schema with the view alias.
-      for (auto& slot : sub->plan->output) slot.alias = tr.alias;
+      // Re-tag the view's output schema with the view alias, on a copy of
+      // the root: the planned view may be shared with the annotation cache.
+      std::shared_ptr<PlanNode> view = CopyNode(*sub->plan);
+      for (auto& slot : view->output) slot.alias = tr.alias;
       entry.derived_rows = sub->plan->est_rows;
       entry.derived_cost = sub->plan->est_cost;
       entry.lateral = tr.lateral;
       RelStats vstats = sub->out_stats;
       vstats.rows = entry.derived_rows;
       ctx.AddRelation(tr.alias, std::move(vstats));
-      entry.derived_plan = std::move(sub->plan);
+      entry.derived_plan = std::move(view);
     }
     rels.push_back(std::move(entry));
   }
@@ -1048,13 +1018,13 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
                                  /*dp_threshold=*/10, memo.get());
   auto joined = enumerator.Enumerate();
   if (!joined.ok()) return joined.status();
-  std::unique_ptr<PlanNode> top = joined->TakePlan();
+  PlanPtr top = std::move(joined->plan);
   double rows = joined->rows;
   double cost = joined->cost;
 
   // ---- 4. TIS subquery filter. ----
   if (!tis_preds.empty()) {
-    auto node = std::make_unique<PlanNode>(PlanOp::kSubqueryFilter);
+    auto node = std::make_shared<PlanNode>(PlanOp::kSubqueryFilter);
     node->output = top->output;
     double sel = 1.0;
     for (const Expr* p : tis_preds) {
@@ -1096,7 +1066,7 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
   // ---- 5. Lazy ROWNUM limit (before projection; the deferred predicates
   // reference FROM columns). ----
   if (lazy_limit_ok && qb.rownum_limit >= 0) {
-    auto node = std::make_unique<PlanNode>(PlanOp::kLimit);
+    auto node = std::make_shared<PlanNode>(PlanOp::kLimit);
     node->limit = qb.rownum_limit;
     node->output = top->output;
     double sel = std::max(ConjSelectivity(deferred_preds, ctx), 1e-6);
@@ -1135,7 +1105,7 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
     for (const auto& e : having_exprs) collect_aggs(e);
     for (const auto& e : order_exprs) collect_aggs(e);
 
-    auto node = std::make_unique<PlanNode>(PlanOp::kAggregate);
+    auto node = std::make_shared<PlanNode>(PlanOp::kAggregate);
     // Patterns must be owned clones: the raw nodes live inside the very
     // expressions SubstituteSlots rewrites, and would dangle after the
     // first replacement.
@@ -1201,7 +1171,7 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
       }
     }
     if (!plain.empty()) {
-      auto node = std::make_unique<PlanNode>(PlanOp::kFilter);
+      auto node = std::make_shared<PlanNode>(PlanOp::kFilter);
       node->output = top->output;
       for (const Expr* p : plain) node->filter.push_back(p->Clone());
       rows = std::max(rows * ConjSelectivity(plain, ctx), 0.0);
@@ -1212,7 +1182,7 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
       top = std::move(node);
     }
     if (!with_sub.empty()) {
-      auto node = std::make_unique<PlanNode>(PlanOp::kSubqueryFilter);
+      auto node = std::make_shared<PlanNode>(PlanOp::kSubqueryFilter);
       node->output = top->output;
       for (const Expr* p : with_sub) {
         node->filter.push_back(p->Clone());
@@ -1254,7 +1224,7 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
     for (const auto& e : sel_exprs) collect_wins(e);
     for (const auto& e : order_exprs) collect_wins(e);
     if (!win_nodes.empty()) {
-      auto node = std::make_unique<PlanNode>(PlanOp::kWindow);
+      auto node = std::make_shared<PlanNode>(PlanOp::kWindow);
       node->output = top->output;
       std::vector<ExprPtr> pattern_storage;
       std::vector<const Expr*> patterns;
@@ -1278,26 +1248,30 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
   }
 
   // ---- 9. Projection. ----
+  // The projection and the DISTINCT above it stay writable through step 11,
+  // which may widen both with hidden sort columns: no cache, memo or other
+  // plan can reach them before this block's plan is returned.
+  auto proj = std::make_shared<PlanNode>(PlanOp::kProject);
   {
-    auto node = std::make_unique<PlanNode>(PlanOp::kProject);
     double proj_cost = rows * P.cpu_tuple;
     for (size_t i = 0; i < qb.select.size(); ++i) {
       proj_cost += rows * CountExpensiveCalls(*sel_exprs[i]) * P.expensive_call;
-      node->output.push_back(
+      proj->output.push_back(
           ColumnSlot{"", qb.select[i].alias, sel_exprs[i]->type});
-      node->projections.push_back(std::move(sel_exprs[i]));
+      proj->projections.push_back(std::move(sel_exprs[i]));
     }
     cost += proj_cost;
-    node->est_rows = rows;
-    node->est_cost = cost;
-    node->children.push_back(std::move(top));
-    top = std::move(node);
+    proj->est_rows = rows;
+    proj->est_cost = cost;
+    proj->children.push_back(std::move(top));
+    top = proj;
   }
 
   // ---- 10. DISTINCT. ----
+  std::shared_ptr<PlanNode> distinct;
   if (qb.distinct) {
-    auto node = std::make_unique<PlanNode>(PlanOp::kDistinct);
-    node->output = top->output;
+    distinct = std::make_shared<PlanNode>(PlanOp::kDistinct);
+    distinct->output = top->output;
     double ndv = 1;
     for (const auto& item : qb.select) {
       ndv *= EstimateNdv(*item.expr, ctx, rows);
@@ -1305,10 +1279,10 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
     double out_rows = std::min(rows, std::max(1.0, ndv));
     cost += rows * P.agg_row;
     rows = out_rows;
-    node->est_rows = rows;
-    node->est_cost = cost;
-    node->children.push_back(std::move(top));
-    top = std::move(node);
+    distinct->est_rows = rows;
+    distinct->est_cost = cost;
+    distinct->children.push_back(std::move(top));
+    top = distinct;
   }
 
   // ---- 11. ORDER BY (above the projection; keys referencing select items
@@ -1326,29 +1300,23 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
     // only when no aggregation happened; after aggregation order_exprs were
     // substituted the same way the select exprs were, so matching against
     // the *projected* expressions is done via the projection node).
-    PlanNode* proj = top.get();
-    while (proj != nullptr && proj->op != PlanOp::kProject) {
-      proj = proj->children.empty() ? nullptr : proj->children[0].get();
-    }
-    auto node = std::make_unique<PlanNode>(PlanOp::kSort);
+    auto node = std::make_shared<PlanNode>(PlanOp::kSort);
     node->output = top->output;
     for (size_t i = 0; i < qb.order_by.size(); ++i) {
       ExprPtr key = std::move(order_exprs[i]);
       // Try to match a projected expression.
       int match = -1;
-      if (proj != nullptr) {
-        for (size_t j = 0; j < proj->projections.size(); ++j) {
-          if (ExprEquals(*proj->projections[j], *key)) {
-            match = static_cast<int>(j);
-            break;
-          }
+      for (size_t j = 0; j < proj->projections.size(); ++j) {
+        if (ExprEquals(*proj->projections[j], *key)) {
+          match = static_cast<int>(j);
+          break;
         }
       }
       if (match >= 0) {
         auto ref = MakeColumnRef("", proj->output[static_cast<size_t>(match)].name);
         ref->type = key->type;
         key = std::move(ref);
-      } else if (proj != nullptr) {
+      } else {
         // Hidden sort column.
         std::string name = "$ord" + std::to_string(i);
         proj->output.push_back(ColumnSlot{"", name, key->type});
@@ -1357,11 +1325,7 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
         key = std::move(ref);
         added_hidden = true;
         // Propagate the widened schema up to `top`.
-        PlanNode* n = top.get();
-        while (n != nullptr && n != proj) {
-          n->output = proj->output;
-          n = n->children.empty() ? nullptr : n->children[0].get();
-        }
+        if (distinct != nullptr) distinct->output = proj->output;
         node->output = top->output;
       }
       node->sort_keys.push_back(std::move(key));
@@ -1376,7 +1340,7 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
 
   // ---- 12. Plain ROWNUM limit. ----
   if (qb.rownum_limit >= 0 && !lazy_limit_ok) {
-    auto node = std::make_unique<PlanNode>(PlanOp::kLimit);
+    auto node = std::make_shared<PlanNode>(PlanOp::kLimit);
     node->limit = qb.rownum_limit;
     node->output = top->output;
     rows = std::min(static_cast<double>(qb.rownum_limit), rows);
@@ -1388,7 +1352,7 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
 
   // ---- 13. Trim hidden sort columns for clean block output. ----
   if (added_hidden) {
-    auto node = std::make_unique<PlanNode>(PlanOp::kProject);
+    auto node = std::make_shared<PlanNode>(PlanOp::kProject);
     for (const auto& item : qb.select) {
       auto ref = MakeColumnRef("", item.alias);
       ref->type = item.expr->type;

@@ -23,7 +23,7 @@ namespace cbqt {
 /// A planned query block: physical plan plus output statistics (used when
 /// the block is a derived table of some outer block).
 struct BlockPlan {
-  std::unique_ptr<PlanNode> plan;
+  PlanPtr plan;
   RelStats out_stats;
 };
 
@@ -35,9 +35,11 @@ struct BlockPlan {
 /// with correlation-value caching.
 ///
 /// The CBQT framework invokes this as its "cost estimation technique"
-/// (paper §3.1, Figure 1): each transformation state is deep-copied and
-/// handed here for costing. `cost_cutoff` implements §3.4.1; `cache`
-/// implements §3.4.2 (sub-tree cost-annotation reuse); `budget` is the
+/// (paper §3.1, Figure 1): each transformation state's query tree is handed
+/// here for costing. `cost_cutoff` implements §3.4.1; `cache` implements
+/// §3.4.2 (sub-tree cost-annotation reuse). Plans are immutable once built
+/// (see PlanPtr): a cache hit, a join-memo hit or a join input is shared
+/// into the new plan, never copied. `budget` is the
 /// optimization resource governor, polled once per planned block — when the
 /// deadline trips mid-plan the planner aborts with kBudgetExhausted and the
 /// caller degrades to its best-so-far answer.

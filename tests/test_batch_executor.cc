@@ -42,7 +42,7 @@ class BatchExecutorTest : public ::testing::Test {
 
   /// Optimizes `sql` into a physical plan (full CBQT pipeline, so unnesting
   /// produces semi/anti joins and the planner picks join methods by cost).
-  std::unique_ptr<PlanNode> Plan(const std::string& sql) {
+  PlanPtr Plan(const std::string& sql) {
     auto qb = ParseAndBind(*db_, sql);
     if (qb == nullptr) return nullptr;
     CbqtOptimizer optimizer(*db_);
@@ -51,7 +51,7 @@ class BatchExecutorTest : public ::testing::Test {
       ADD_FAILURE() << "optimize: " << opt.status().ToString() << "\n" << sql;
       return nullptr;
     }
-    return std::move(opt->plan);
+    return opt->plan;
   }
 
   /// The correctness oracle: the naive interpreter of the bound tree.

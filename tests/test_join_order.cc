@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 namespace cbqt {
 namespace {
@@ -16,9 +17,10 @@ class FakeCoster : public JoinCoster {
   explicit FakeCoster(std::vector<double> sizes) : sizes_(std::move(sizes)) {}
 
   Result<JoinStepPlan> BaseRel(int rel) override {
+    auto node = std::make_shared<PlanNode>(PlanOp::kTableScan);
+    node->table_alias = "r" + std::to_string(rel);
     JoinStepPlan step;
-    step.plan = std::make_unique<PlanNode>(PlanOp::kTableScan);
-    step.plan->table_alias = "r" + std::to_string(rel);
+    step.plan = std::move(node);
     step.rows = sizes_[static_cast<size_t>(rel)];
     step.cost = sizes_[static_cast<size_t>(rel)];
     ++base_calls_;
@@ -28,10 +30,12 @@ class FakeCoster : public JoinCoster {
   Result<JoinStepPlan> Join(const JoinStepPlan& left, uint64_t left_mask,
                             int rel) override {
     (void)left_mask;
-    JoinStepPlan step;
-    step.plan = std::make_unique<PlanNode>(PlanOp::kHashJoin);
-    step.plan->table_alias =
+    auto node = std::make_shared<PlanNode>(PlanOp::kHashJoin);
+    node->table_alias =
         left.plan->table_alias + "," + "r" + std::to_string(rel);
+    node->children.push_back(left.plan);
+    JoinStepPlan step;
+    step.plan = std::move(node);
     step.rows = left.rows;  // selective joins keep left size
     step.cost = left.cost + sizes_[static_cast<size_t>(rel)] +
                 left.rows * 0.01;
@@ -123,6 +127,52 @@ TEST(JoinOrder, EmptyRelationsRejected) {
   FakeCoster coster({});
   JoinOrderEnumerator e({}, &coster, 1e18);
   EXPECT_FALSE(e.Enumerate().ok());
+}
+
+// Records every stored subset plan; once `serve` is set, hands the stored
+// plans back as hits.
+class RecordingMemo : public JoinOrderMemo {
+ public:
+  Probe Lookup(uint64_t mask, double cutoff, JoinStepPlan* out) override {
+    (void)cutoff;
+    auto it = stored.find(mask);
+    if (!serve || it == stored.end()) return Probe::kMiss;
+    *out = it->second;
+    return Probe::kHit;
+  }
+  void Store(uint64_t mask, const JoinStepPlan& step) override {
+    stored[mask] = step;
+  }
+
+  bool serve = false;
+  std::map<uint64_t, JoinStepPlan> stored;
+};
+
+TEST(JoinOrder, DpSharesMemoizedSubsetPlans) {
+  FakeCoster coster({40, 10, 30});
+  RecordingMemo memo;
+  JoinOrderEnumerator e({0, 0, 0}, &coster, 1e18, /*dp_threshold=*/10, &memo);
+  auto r = e.Enumerate();
+  ASSERT_TRUE(r.ok());
+  // The result is the stored full-set plan, and its left input is the very
+  // plan stored for the subset it extends: subsets are shared, not copied.
+  EXPECT_EQ(memo.stored[0b111].plan.get(), r->plan.get());
+  ASSERT_EQ(r->plan->children.size(), 1u);
+  const PlanNode* left = r->plan->children[0].get();
+  int sharing_subsets = 0;
+  for (uint64_t sub : {0b011u, 0b101u, 0b110u}) {
+    if (memo.stored[sub].plan.get() == left) ++sharing_subsets;
+  }
+  EXPECT_EQ(sharing_subsets, 1);
+
+  // A later enumeration served from the memo returns the stored tree itself.
+  memo.serve = true;
+  FakeCoster again({40, 10, 30});
+  JoinOrderEnumerator e2({0, 0, 0}, &again, 1e18, /*dp_threshold=*/10, &memo);
+  auto r2 = e2.Enumerate();
+  ASSERT_TRUE(r2.ok());
+  EXPECT_EQ(r2->plan.get(), r->plan.get());
+  EXPECT_EQ(again.join_calls_, 0);
 }
 
 }  // namespace

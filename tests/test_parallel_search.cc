@@ -284,8 +284,9 @@ CostAnnotation MakeAnnotation(double cost) {
   CostAnnotation ann;
   ann.cost = cost;
   ann.rows = cost * 2;
-  ann.plan = std::make_unique<PlanNode>(PlanOp::kTableScan);
-  ann.plan->est_cost = cost;
+  auto plan = std::make_shared<PlanNode>(PlanOp::kTableScan);
+  plan->est_cost = cost;
+  ann.plan = std::move(plan);
   return ann;
 }
 
@@ -308,7 +309,7 @@ TEST(AnnotationCacheConcurrency, ParallelPutFindClearStress) {
             // The entry must stay fully readable even if concurrently
             // replaced: shared_ptr keeps it alive, plan stays cloneable.
             found.fetch_add(1);
-            auto clone = hit->plan->Clone();
+            auto clone = ClonePlan(*hit->plan);
             ASSERT_NE(clone, nullptr);
             ASSERT_DOUBLE_EQ(hit->rows, hit->cost * 2);
           }

@@ -22,7 +22,7 @@ TEST(PlanSchema, FindSlotMatchesAliasAndName) {
   EXPECT_EQ(FindSlot(schema, "e", "missing"), -1);
 }
 
-TEST(PlanNode, CloneIsDeep) {
+TEST(PlanNode, ClonePlanIsDeep) {
   PlanNode scan(PlanOp::kTableScan);
   scan.table_name = "t";
   scan.table_alias = "t1";
@@ -32,7 +32,7 @@ TEST(PlanNode, CloneIsDeep) {
   scan.est_rows = 10;
   scan.est_cost = 3;
 
-  auto copy = scan.Clone();
+  auto copy = ClonePlan(scan);
   EXPECT_EQ(copy->table_name, "t");
   EXPECT_EQ(copy->filter.size(), 1u);
   EXPECT_DOUBLE_EQ(copy->est_rows, 10);
@@ -43,18 +43,37 @@ TEST(PlanNode, CloneIsDeep) {
   EXPECT_EQ(scan.table_name, "t");
 }
 
-TEST(PlanNode, CloneCopiesSubplansAndKeys) {
+TEST(PlanNode, ClonePlanCopiesSubplansAndKeys) {
   PlanNode filt(PlanOp::kSubqueryFilter);
-  filt.subplans.push_back(std::make_unique<PlanNode>(PlanOp::kTableScan));
-  filt.subplans[0]->table_name = "inner_t";
+  auto inner = std::make_shared<PlanNode>(PlanOp::kTableScan);
+  inner->table_name = "inner_t";
+  filt.subplans.push_back(inner);
   std::vector<ExprPtr> keys;
   keys.push_back(MakeColumnRef("o", "k"));
   filt.subplan_corr_keys.push_back(std::move(keys));
-  auto copy = filt.Clone();
+  auto copy = ClonePlan(filt);
   ASSERT_EQ(copy->subplans.size(), 1u);
   EXPECT_EQ(copy->subplans[0]->table_name, "inner_t");
   ASSERT_EQ(copy->subplan_corr_keys.size(), 1u);
   EXPECT_NE(copy->subplans[0].get(), filt.subplans[0].get());
+}
+
+TEST(PlanNode, CopyNodeSharesChildren) {
+  PlanNode join(PlanOp::kHashJoin);
+  join.children.push_back(std::make_shared<PlanNode>(PlanOp::kTableScan));
+  join.children.push_back(std::make_shared<PlanNode>(PlanOp::kIndexScan));
+  join.subplans.push_back(std::make_shared<PlanNode>(PlanOp::kProject));
+  join.hash_left_keys.push_back(MakeColumnRef("a", "k"));
+  join.output = {{"a", "k", DataType::kInt64}};
+  auto copy = CopyNode(join);
+  copy->output[0].alias = "v";
+  EXPECT_EQ(join.output[0].alias, "a");
+  ASSERT_EQ(copy->children.size(), 2u);
+  EXPECT_EQ(copy->children[0].get(), join.children[0].get());
+  EXPECT_EQ(copy->children[1].get(), join.children[1].get());
+  EXPECT_EQ(copy->subplans[0].get(), join.subplans[0].get());
+  ASSERT_EQ(copy->hash_left_keys.size(), 1u);
+  EXPECT_NE(copy->hash_left_keys[0].get(), join.hash_left_keys[0].get());
 }
 
 class PlanShapeTest : public ::testing::Test {
@@ -63,7 +82,7 @@ class PlanShapeTest : public ::testing::Test {
     db_ = MakeSmallHrDb();
     ASSERT_NE(db_, nullptr);
   }
-  std::unique_ptr<PlanNode> Plan(const std::string& sql) {
+  PlanPtr Plan(const std::string& sql) {
     auto qb = ParseAndBind(*db_, sql);
     if (qb == nullptr) return nullptr;
     Planner planner(*db_, CostParams{});
@@ -72,7 +91,7 @@ class PlanShapeTest : public ::testing::Test {
       ADD_FAILURE() << bp.status().ToString();
       return nullptr;
     }
-    return std::move(bp->plan);
+    return bp->plan;
   }
   std::unique_ptr<Database> db_;
 };

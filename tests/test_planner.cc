@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "optimizer/plan_serde.h"
+#include "sql/signature.h"
 #include "tests/test_util.h"
 
 namespace cbqt {
@@ -14,7 +16,7 @@ class PlannerTest : public ::testing::Test {
     ASSERT_NE(db_, nullptr);
   }
 
-  std::unique_ptr<PlanNode> Plan(const std::string& sql) {
+  PlanPtr Plan(const std::string& sql) {
     auto qb = ParseAndBind(*db_, sql);
     if (qb == nullptr) return nullptr;
     Planner planner(*db_, CostParams{});
@@ -23,7 +25,7 @@ class PlannerTest : public ::testing::Test {
       ADD_FAILURE() << "plan failed: " << bp.status().ToString();
       return nullptr;
     }
-    return std::move(bp->plan);
+    return bp->plan;
   }
 
   static bool ShapeContains(const PlanNode& plan, const std::string& text) {
@@ -183,6 +185,91 @@ TEST_F(PlannerTest, OrderByNonSelectedColumnAddsHiddenSlotAndTrims) {
   // Final output must be exactly the one select column.
   EXPECT_EQ(plan->output.size(), 1u);
   EXPECT_EQ(plan->output[0].name, "employee_name");
+}
+
+TEST_F(PlannerTest, OrderByHiddenColumnLeavesSharedSubplansUntouched) {
+  // A joins a grouped view to departments; B is the same join sorted on a
+  // column it does not select, so B's projection gains a hidden sort slot
+  // directly above a join subset B takes, shared, from A's join memo.
+  const char* a_sql =
+      "SELECT d.dept_name, v.avg_sal FROM departments d, (SELECT e.dept_id "
+      "AS dept_id, AVG(e.salary) AS avg_sal FROM employees e GROUP BY "
+      "e.dept_id) v WHERE v.dept_id = d.dept_id";
+  const char* b_sql =
+      "SELECT d.dept_name FROM departments d, (SELECT e.dept_id AS dept_id, "
+      "AVG(e.salary) AS avg_sal FROM employees e GROUP BY e.dept_id) v WHERE "
+      "v.dept_id = d.dept_id ORDER BY v.avg_sal";
+  auto a = ParseAndBind(*db_, a_sql);
+  auto b = ParseAndBind(*db_, b_sql);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+
+  AnnotationCache cache;
+  AnnotationCache join_memo;
+  Planner warm(*db_, CostParams{}, &cache,
+               std::numeric_limits<double>::infinity(), nullptr, &join_memo);
+  auto a_plan = warm.PlanBlock(*a);
+  ASSERT_TRUE(a_plan.ok()) << a_plan.status().ToString();
+  ASSERT_EQ(a_plan->plan->op, PlanOp::kProject);
+  PlanPtr join = a_plan->plan->children[0];
+  auto view = cache.Find(BlockSignature(*a->from[1].derived));
+  ASSERT_NE(view, nullptr);
+  const std::string a_bytes = SerializePlan(*a_plan->plan);
+  const std::string join_bytes = SerializePlan(*join);
+  const std::string view_bytes = SerializePlan(*view->plan);
+
+  Planner planner(*db_, CostParams{}, &cache,
+                  std::numeric_limits<double>::infinity(), nullptr,
+                  &join_memo);
+  auto b_plan = planner.PlanBlock(*b);
+  ASSERT_TRUE(b_plan.ok()) << b_plan.status().ToString();
+  // Trim project -> sort -> widened projection -> the memoized join.
+  const PlanNode* proj = b_plan->plan.get();
+  while (proj->op != PlanOp::kProject || proj->projections.size() < 2) {
+    ASSERT_FALSE(proj->children.empty());
+    proj = proj->children[0].get();
+  }
+  ASSERT_EQ(proj->children.size(), 1u);
+  EXPECT_EQ(proj->children[0].get(), join.get());
+
+  EXPECT_EQ(SerializePlan(*join), join_bytes);
+  EXPECT_EQ(SerializePlan(*view->plan), view_bytes);
+  // The cached view keeps its own output slots: the outer blocks re-tagged
+  // copies of its root with the alias `v`, not the shared entry.
+  Planner cold_planner(*db_, CostParams{});
+  auto cold_view = cold_planner.PlanBlock(*a->from[1].derived);
+  ASSERT_TRUE(cold_view.ok());
+  EXPECT_EQ(view_bytes, SerializePlan(*cold_view->plan));
+  EXPECT_EQ(SerializePlan(*cache.Find(BlockSignature(*a))->plan), a_bytes);
+  auto cold = Plan(b_sql);
+  ASSERT_NE(cold, nullptr);
+  EXPECT_EQ(SerializePlan(*b_plan->plan), SerializePlan(*cold));
+}
+
+TEST_F(PlannerTest, LargerJoinLinksMemoizedSubsetPlan) {
+  auto pair = ParseAndBind(*db_,
+                           "SELECT d.dept_name FROM departments d, "
+                           "locations l WHERE d.loc_id = l.loc_id");
+  auto triple = ParseAndBind(
+      *db_,
+      "SELECT e.employee_name FROM employees e, departments d, locations l "
+      "WHERE e.dept_id = d.dept_id AND d.loc_id = l.loc_id");
+  ASSERT_NE(pair, nullptr);
+  ASSERT_NE(triple, nullptr);
+  AnnotationCache join_memo;
+  Planner planner(*db_, CostParams{}, nullptr,
+                  std::numeric_limits<double>::infinity(), nullptr,
+                  &join_memo);
+  auto first = planner.PlanBlock(*pair);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  PlanPtr subset = first->plan->children[0];
+  auto second = planner.PlanBlock(*triple);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  // The three-way join extends the memoized {d, l} join: it links that very
+  // tree as its left input instead of a copy.
+  const PlanNode* join = second->plan->children[0].get();
+  ASSERT_FALSE(join->children.empty());
+  EXPECT_EQ(join->children[0].get(), subset.get());
 }
 
 }  // namespace
