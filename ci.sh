@@ -21,8 +21,9 @@
 #   $ ./ci.sh asan         # just the address/UB-sanitizer config
 #   $ ./ci.sh bench-smoke  # quick Release run of the perf benches
 #   $ ./ci.sh fuzz-smoke   # time-boxed metamorphic differential fuzz leg
-#   $ ./ci.sh perf-smoke   # short run of the repository benchmark's compile
-#                          #   workload with its correctness checks
+#   $ ./ci.sh perf-smoke   # short runs of the repository benchmark's compile
+#                          #   and analytic workloads with their correctness
+#                          #   checks
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -153,6 +154,11 @@ if [[ "${want}" == "all" || "${want}" == "perf-smoke" ]]; then
   # .bench_build/.
   echo "=== [perf-smoke] perfbench compile (5s, seed 1) ==="
   python3 perfbench/run.py --workload compile --seed 1 --seconds 5 --trace 0
+  # The analytic workload executes every statement and checks each result's
+  # row digest against a heuristic-only reference engine, so an executor
+  # change that alters rows fails here.
+  echo "=== [perf-smoke] perfbench analytic (5s, seed 1) ==="
+  python3 perfbench/run.py --workload analytic --seed 1 --seconds 5 --trace 0
 fi
 
 if [[ "${want}" == "all" || "${want}" == "asan" ]]; then

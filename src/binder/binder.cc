@@ -22,6 +22,58 @@ std::vector<OutputColumn> BlockOutputColumns(const QueryBlock& qb) {
 
 namespace {
 
+// Predicate positions — WHERE / HAVING / ON conjuncts and AND / OR / NOT
+// operands — must be boolean. Both evaluators read a predicate's value as
+// a truth value; NULL-typed (kUnknown) operands are fine.
+Status RequireBoolean(const Expr& e, const char* position) {
+  if (e.type == DataType::kBool || e.type == DataType::kUnknown) {
+    return Status::OK();
+  }
+  return Status::BindError(std::string(position) +
+                           " must be a boolean expression, got " +
+                           DataTypeName(e.type));
+}
+
+Status RequireBooleanList(const std::vector<ExprPtr>& preds,
+                          const char* position) {
+  for (const auto& p : preds) {
+    CBQT_RETURN_IF_ERROR(RequireBoolean(*p, position));
+  }
+  return Status::OK();
+}
+
+// A scalar function call must name a registered function with the right
+// argument count, and arguments whose static type the function accepts.
+Status CheckScalarFnCall(const Expr& e) {
+  if (e.scalar_fn == ScalarFn::kNone) {
+    return Status::BindError("unknown function: " + e.func_name);
+  }
+  const ScalarFnInfo& info = GetScalarFnInfo(e.scalar_fn);
+  const int n = static_cast<int>(e.children.size());
+  if (n < info.min_args || n > info.max_args) {
+    std::string want = std::to_string(info.min_args);
+    if (info.max_args != info.min_args) {
+      want += ".." + std::to_string(info.max_args);
+    }
+    return Status::BindError(e.func_name + " takes " + want +
+                             " argument(s), got " + std::to_string(n));
+  }
+  for (const auto& arg : e.children) {
+    DataType t = arg->type;
+    bool bad = false;
+    if (info.arg_kind == FnArgKind::kString) {
+      bad = t != DataType::kString && t != DataType::kUnknown;
+    } else if (info.arg_kind == FnArgKind::kNumeric) {
+      bad = t == DataType::kString || t == DataType::kBool;
+    }
+    if (bad) {
+      return Status::BindError(e.func_name + " does not accept a " +
+                               DataTypeName(t) + " argument");
+    }
+  }
+  return Status::OK();
+}
+
 bool BlockDeclaresAlias(const QueryBlock& qb, const std::string& alias) {
   return qb.FindFrom(alias) >= 0;
 }
@@ -202,6 +254,7 @@ Status Binder::BindRegularBlock(QueryBlock* qb) {
         st = BindExpr(c.get(), qb, false);
         if (!st.ok()) break;
       }
+      if (st.ok()) st = RequireBooleanList(tr.join_conds, "ON condition");
       if (!st.ok()) break;
     }
   }
@@ -210,6 +263,7 @@ Status Binder::BindRegularBlock(QueryBlock* qb) {
       st = BindExpr(w.get(), qb, false);
       if (!st.ok()) break;
     }
+    if (st.ok()) st = RequireBooleanList(qb->where, "WHERE condition");
   }
   if (st.ok()) {
     for (auto& g : qb->group_by) {
@@ -228,6 +282,7 @@ Status Binder::BindRegularBlock(QueryBlock* qb) {
       st = BindExpr(h.get(), qb, false);
       if (!st.ok()) break;
     }
+    if (st.ok()) st = RequireBooleanList(qb->having, "HAVING condition");
   }
   if (st.ok()) {
     for (auto& o : qb->order_by) {
@@ -417,6 +472,11 @@ Status Binder::DeriveType(Expr* e) {
       }
       break;
     case ExprKind::kBinary:
+      if (e->bop == BinaryOp::kAnd || e->bop == BinaryOp::kOr) {
+        const char* op = e->bop == BinaryOp::kAnd ? "AND operand" : "OR operand";
+        CBQT_RETURN_IF_ERROR(RequireBoolean(*e->children[0], op));
+        CBQT_RETURN_IF_ERROR(RequireBoolean(*e->children[1], op));
+      }
       if (IsComparisonOp(e->bop) || e->bop == BinaryOp::kAnd ||
           e->bop == BinaryOp::kOr || e->bop == BinaryOp::kNullSafeEq) {
         e->type = DataType::kBool;
@@ -427,6 +487,9 @@ Status Binder::DeriveType(Expr* e) {
       }
       break;
     case ExprKind::kUnary:
+      if (e->uop == UnaryOp::kNot) {
+        CBQT_RETURN_IF_ERROR(RequireBoolean(*e->children[0], "NOT operand"));
+      }
       if (e->uop == UnaryOp::kNeg) {
         e->type = e->children[0]->type;
       } else {
@@ -450,13 +513,8 @@ Status Binder::DeriveType(Expr* e) {
       }
       break;
     case ExprKind::kFuncCall:
-      // All registered scalar functions return DOUBLE except the string
-      // helpers.
-      if (e->func_name == "upper" || e->func_name == "lower") {
-        e->type = DataType::kString;
-      } else {
-        e->type = DataType::kDouble;
-      }
+      CBQT_RETURN_IF_ERROR(CheckScalarFnCall(*e));
+      e->type = GetScalarFnInfo(e->scalar_fn).result;
       break;
     case ExprKind::kSubquery:
       if (e->subkind == SubqueryKind::kScalar) {

@@ -111,15 +111,25 @@ bool TotalLess(const Value& a, const Value& b) {
   return static_cast<int>(a.kind()) < static_cast<int>(b.kind());
 }
 
+bool ValuesEqualStructural(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
+  Ordering ord = CompareValues(a, b);
+  if (ord != Ordering::kUnknown) return ord == Ordering::kEqual;
+  return a == b;
+}
+
 bool RowsEqualStructural(const Row& a, const Row& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].is_null() && b[i].is_null()) continue;
-    if (a[i].is_null() || b[i].is_null()) return false;
-    Ordering ord = CompareValues(a[i], b[i]);
-    if (ord == Ordering::kEqual) continue;
-    if (ord != Ordering::kUnknown) return false;
-    if (!(a[i] == b[i])) return false;
+    if (!ValuesEqualStructural(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+bool RowsEqualStructural(const Row& a, const KeyView& b) {
+  if (a.size() != b.size) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!ValuesEqualStructural(a[i], b[i])) return false;
   }
   return true;
 }
@@ -128,6 +138,26 @@ size_t HashRow(const Row& row) {
   uint64_t h = kFnvOffset;
   for (const Value& v : row) h = FnvMix(h, v.Hash());
   return static_cast<size_t>(h);
+}
+
+size_t HashKey(const KeyView& key) {
+  uint64_t h = kFnvOffset;
+  for (size_t i = 0; i < key.size; ++i) h = FnvMix(h, key[i].Hash());
+  return static_cast<size_t>(h);
+}
+
+bool KeyView::HasNull() const {
+  for (size_t i = 0; i < size; ++i) {
+    if ((*this)[i].is_null()) return true;
+  }
+  return false;
+}
+
+Row KeyView::Materialize() const {
+  Row r;
+  r.reserve(size);
+  for (size_t i = 0; i < size; ++i) r.push_back((*this)[i]);
+  return r;
 }
 
 int64_t EstimateValueBytes(const Value& v) {

@@ -91,17 +91,50 @@ size_t HashRow(const Row& row);
 int64_t EstimateValueBytes(const Value& v);
 int64_t EstimateRowBytes(const Row& row);
 
-struct RowHasher {
-  size_t operator()(const Row& r) const { return HashRow(r); }
+/// A key row that is not materialized: value i is (*row)[slots[i]]. Hash
+/// tables keyed by Row look keys up through a view (transparent lookup),
+/// so a probe or a repeated group key copies nothing; a key Row is built
+/// only when an entry is inserted. Hashes and compares exactly like the
+/// Row it stands for.
+struct KeyView {
+  const Row* row = nullptr;
+  const int* slots = nullptr;
+  size_t size = 0;
+
+  const Value& operator[](size_t i) const {
+    return (*row)[static_cast<size_t>(slots[i])];
+  }
+  bool HasNull() const;
+  Row Materialize() const;
 };
 
-/// Structural row equality (NULLs match; numeric kinds compare by value so
-/// Int(2) == Real(2.0) for hashing consistency).
+/// HashRow of the row the view stands for.
+size_t HashKey(const KeyView& key);
+
+struct RowHasher {
+  using is_transparent = void;
+  size_t operator()(const Row& r) const { return HashRow(r); }
+  size_t operator()(const KeyView& k) const { return HashKey(k); }
+};
+
+/// Structural value equality (NULLs match; numeric kinds compare by value
+/// so Int(2) == Real(2.0) for hashing consistency).
+bool ValuesEqualStructural(const Value& a, const Value& b);
+
+/// Structural row equality: ValuesEqualStructural slot by slot.
 bool RowsEqualStructural(const Row& a, const Row& b);
+bool RowsEqualStructural(const Row& a, const KeyView& b);
 
 struct RowEq {
+  using is_transparent = void;
   bool operator()(const Row& a, const Row& b) const {
     return RowsEqualStructural(a, b);
+  }
+  bool operator()(const Row& a, const KeyView& b) const {
+    return RowsEqualStructural(a, b);
+  }
+  bool operator()(const KeyView& a, const Row& b) const {
+    return RowsEqualStructural(b, a);
   }
 };
 

@@ -11,36 +11,8 @@ namespace {
 
 int g_expensive_work = 2000;
 
-Value Tribool(Ordering ord, BinaryOp op) {
-  if (ord == Ordering::kUnknown) return Value::Null();
-  bool r = false;
-  switch (op) {
-    case BinaryOp::kEq:
-      r = ord == Ordering::kEqual;
-      break;
-    case BinaryOp::kNe:
-      r = ord != Ordering::kEqual;
-      break;
-    case BinaryOp::kLt:
-      r = ord == Ordering::kLess;
-      break;
-    case BinaryOp::kLe:
-      r = ord != Ordering::kGreater;
-      break;
-    case BinaryOp::kGt:
-      r = ord == Ordering::kGreater;
-      break;
-    case BinaryOp::kGe:
-      r = ord != Ordering::kLess;
-      break;
-    default:
-      return Value::Null();
-  }
-  return Value::Boolean(r);
-}
-
 Value EvalCompare(const Value& a, const Value& b, BinaryOp op) {
-  return EvalCompareOp(a, b, op);
+  return TruthValue(CompareTruth(CompareValues(a, b), op));
 }
 
 Value EvalArith(const Value& a, const Value& b, BinaryOp op) {
@@ -150,55 +122,49 @@ Result<Value> EvalFuncCall(const Expr& e, EvalContext& ctx) {
     if (!v.ok()) return v.status();
     args.push_back(std::move(v.value()));
   }
-  const std::string& f = e.func_name;
-  if (StartsWith(f, "expensive_")) {
-    // Spin to make wall time reflect the cost model's expensive_call.
-    volatile double sink = 0;
-    for (int i = 0; i < g_expensive_work; ++i) {
-      sink = sink + std::sqrt(i + 1.0);
-    }
-    (void)sink;
-    if (args.empty()) return Value::Real(1.0);
-    if (args[0].is_null()) return Value::Null();
-    if (args.size() >= 2 && !args[1].is_null()) {
-      int64_t m = static_cast<int64_t>(args[1].NumericValue());
-      if (m <= 0) m = 1;
-      uint64_t h = args[0].Hash();
-      return Value::Real((h % static_cast<uint64_t>(m)) == 0 ? 1.0 : 0.0);
-    }
-    return Value::Real(args[0].NumericValue());
-  }
-  if (f == "abs") {
-    if (args[0].is_null()) return Value::Null();
-    return Value::Real(std::fabs(args[0].NumericValue()));
-  }
-  if (f == "mod") {
-    if (args.size() != 2 || args[0].is_null() || args[1].is_null()) {
-      return Value::Null();
-    }
-    int64_t b = static_cast<int64_t>(args[1].NumericValue());
-    if (b == 0) return Value::Null();
-    return Value::Int(static_cast<int64_t>(args[0].NumericValue()) % b);
-  }
-  if (f == "floor") {
-    if (args[0].is_null()) return Value::Null();
-    return Value::Real(std::floor(args[0].NumericValue()));
-  }
-  if (f == "upper") {
-    if (args[0].is_null()) return Value::Null();
-    return Value::Str(ToUpper(args[0].AsString()));
-  }
-  if (f == "lower") {
-    if (args[0].is_null()) return Value::Null();
-    return Value::Str(ToLower(args[0].AsString()));
-  }
-  return Status::NotSupported("unknown function: " + f);
+  std::vector<const Value*> argp;
+  argp.reserve(args.size());
+  for (const Value& v : args) argp.push_back(&v);
+  Status err;
+  Value out = CallScalarFn(e.scalar_fn, argp.data(), argp.size(), &err);
+  if (!err.ok()) return err;
+  return out;
+}
+
+Status FnArgError(ScalarFn fn, const char* want, const Value& got) {
+  return Status::InvalidArgument(std::string(GetScalarFnInfo(fn).name) +
+                                 ": expected a " + want + " argument, got " +
+                                 got.ToString());
 }
 
 }  // namespace
 
-Value EvalCompareOp(const Value& a, const Value& b, BinaryOp op) {
-  return Tribool(CompareValues(a, b), op);
+Truth CompareTruth(Ordering ord, BinaryOp op) {
+  if (ord == Ordering::kUnknown) return Truth::kUnknown;
+  bool r = false;
+  switch (op) {
+    case BinaryOp::kEq:
+      r = ord == Ordering::kEqual;
+      break;
+    case BinaryOp::kNe:
+      r = ord != Ordering::kEqual;
+      break;
+    case BinaryOp::kLt:
+      r = ord == Ordering::kLess;
+      break;
+    case BinaryOp::kLe:
+      r = ord != Ordering::kGreater;
+      break;
+    case BinaryOp::kGt:
+      r = ord == Ordering::kGreater;
+      break;
+    case BinaryOp::kGe:
+      r = ord != Ordering::kLess;
+      break;
+    default:
+      return Truth::kUnknown;
+  }
+  return r ? Truth::kTrue : Truth::kFalse;
 }
 
 Value EvalArithOp(const Value& a, const Value& b, BinaryOp op) {
@@ -220,6 +186,77 @@ Value EvalArithOp(const Value& a, const Value& b, BinaryOp op) {
     default:
       return Value::Null();
   }
+}
+
+Value CallScalarFn(ScalarFn fn, const Value* const* args, size_t n,
+                   Status* err) {
+  const ScalarFnInfo& info = GetScalarFnInfo(fn);
+  if (fn == ScalarFn::kNone) {
+    *err = Status::NotSupported("unknown function");
+    return Value::Null();
+  }
+  if (static_cast<int>(n) < info.min_args ||
+      static_cast<int>(n) > info.max_args) {
+    *err = Status::InvalidArgument(std::string(info.name) + ": wrong number "
+                                   "of arguments (" + std::to_string(n) + ")");
+    return Value::Null();
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const Value& v = *args[i];
+    if (v.is_null()) continue;
+    if (info.arg_kind == FnArgKind::kNumeric &&
+        v.kind() != ValueKind::kInt64 && v.kind() != ValueKind::kDouble) {
+      *err = FnArgError(fn, "numeric", v);
+      return Value::Null();
+    }
+    if (info.arg_kind == FnArgKind::kString &&
+        v.kind() != ValueKind::kString) {
+      *err = FnArgError(fn, "string", v);
+      return Value::Null();
+    }
+  }
+  switch (fn) {
+    case ScalarFn::kExpensive: {
+      // Spin to make wall time reflect the cost model's expensive_call.
+      volatile double sink = 0;
+      for (int i = 0; i < g_expensive_work; ++i) {
+        sink = sink + std::sqrt(i + 1.0);
+      }
+      (void)sink;
+      if (n == 0) return Value::Real(1.0);
+      if (args[0]->is_null()) return Value::Null();
+      if (n >= 2 && !args[1]->is_null()) {
+        int64_t m = static_cast<int64_t>(args[1]->NumericValue());
+        if (m <= 0) m = 1;
+        uint64_t h = args[0]->Hash();
+        return Value::Real((h % static_cast<uint64_t>(m)) == 0 ? 1.0 : 0.0);
+      }
+      return Value::Real(args[0]->NumericValue());
+    }
+    case ScalarFn::kAbs:
+      if (args[0]->is_null()) return Value::Null();
+      return Value::Real(std::fabs(args[0]->NumericValue()));
+    case ScalarFn::kMod: {
+      if (args[0]->is_null() || args[1]->is_null()) return Value::Null();
+      int64_t b = static_cast<int64_t>(args[1]->NumericValue());
+      if (b == 0) return Value::Null();
+      // x % -1 is 0; computing it would trap on INT64_MIN.
+      if (b == -1) return Value::Int(0);
+      return Value::Int(static_cast<int64_t>(args[0]->NumericValue()) % b);
+    }
+    case ScalarFn::kFloor:
+      if (args[0]->is_null()) return Value::Null();
+      return Value::Real(std::floor(args[0]->NumericValue()));
+    case ScalarFn::kUpper:
+      if (args[0]->is_null()) return Value::Null();
+      return Value::Str(ToUpper(args[0]->AsString()));
+    case ScalarFn::kLower:
+      if (args[0]->is_null()) return Value::Null();
+      return Value::Str(ToLower(args[0]->AsString()));
+    case ScalarFn::kNone:
+      break;
+  }
+  return Value::Null();
 }
 
 void SetExpensiveFunctionWork(int iterations) {
@@ -246,26 +283,19 @@ Result<Value> EvalExpr(const Expr& e, EvalContext& ctx) {
     }
     case ExprKind::kBinary: {
       if (e.bop == BinaryOp::kAnd || e.bop == BinaryOp::kOr) {
+        // Short circuit: FALSE decides AND, TRUE decides OR.
+        const Truth decides = e.bop == BinaryOp::kAnd ? Truth::kFalse
+                                                      : Truth::kTrue;
         auto l = EvalExpr(*e.children[0], ctx);
         if (!l.ok()) return l.status();
-        bool is_and = e.bop == BinaryOp::kAnd;
-        // Short circuit.
-        if (!l->is_null() && l->kind() == ValueKind::kBool) {
-          if (is_and && !l->AsBool()) return Value::Boolean(false);
-          if (!is_and && l->AsBool()) return Value::Boolean(true);
-        }
+        Truth lt = ToTruth(l.value());
+        if (lt == decides) return TruthValue(decides);
         auto r = EvalExpr(*e.children[1], ctx);
         if (!r.ok()) return r.status();
-        bool l_known = !l->is_null();
-        bool r_known = !r->is_null();
-        if (is_and) {
-          if (r_known && !r->AsBool()) return Value::Boolean(false);
-          if (l_known && r_known) return Value::Boolean(l->AsBool() && r->AsBool());
-          return Value::Null();
-        }
-        if (r_known && r->AsBool()) return Value::Boolean(true);
-        if (l_known && r_known) return Value::Boolean(l->AsBool() || r->AsBool());
-        return Value::Null();
+        Truth rt = ToTruth(r.value());
+        if (rt == decides) return TruthValue(decides);
+        if (lt == Truth::kUnknown || rt == Truth::kUnknown) return Value::Null();
+        return TruthValue(lt);
       }
       auto l = EvalExpr(*e.children[0], ctx);
       if (!l.ok()) return l.status();
@@ -281,9 +311,11 @@ Result<Value> EvalExpr(const Expr& e, EvalContext& ctx) {
       auto v = EvalExpr(*e.children[0], ctx);
       if (!v.ok()) return v.status();
       switch (e.uop) {
-        case UnaryOp::kNot:
-          if (v->is_null()) return Value::Null();
-          return Value::Boolean(!v->AsBool());
+        case UnaryOp::kNot: {
+          Truth t = ToTruth(v.value());
+          if (t == Truth::kUnknown) return Value::Null();
+          return Value::Boolean(t == Truth::kFalse);
+        }
         case UnaryOp::kNeg:
           if (v->is_null()) return Value::Null();
           if (v->kind() == ValueKind::kInt64) return Value::Int(-v->AsInt());

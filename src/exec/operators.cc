@@ -74,12 +74,17 @@ constexpr int kMaxSpillDepth = 6;
 /// recounting (and without consuming kExecBatch fault hits).
 constexpr int64_t kSpillPollMask = 0xFF;
 
-size_t PartitionOfKey(const Row& key, int salt) {
-  uint64_t h = static_cast<uint64_t>(HashRow(key));
+/// Spill partition of a key given its HashRow / HashKey hash.
+size_t PartitionOfHash(size_t key_hash, int salt) {
+  uint64_t h = static_cast<uint64_t>(key_hash);
   h ^= 0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(salt + 1);
   h *= 0xff51afd7ed558ccdULL;
   h ^= h >> 33;
   return static_cast<size_t>(h % kSpillPartitions);
+}
+
+size_t PartitionOfKey(const Row& key, int salt) {
+  return PartitionOfHash(HashRow(key), salt);
 }
 
 // Mirrors the planner's subquery traversal order (pre-order, not descending
@@ -207,30 +212,18 @@ bool AnySlow(const std::vector<CompiledExpr>& exprs) {
   return false;
 }
 
-/// Conjunct evaluation for one row. The all-fast path touches neither the
-/// frame stack nor Status plumbing — this is the batch executor's hot
+/// Conjunct truth for one row. The all-fast path touches neither the frame
+/// stack nor Status plumbing — this is the batch executor's hot
 /// filter/join loop. The fallback pushes one frame for the row, matching
-/// the tree evaluator's resolution order exactly.
-Result<Value> EvalPredsOnRow(EvalContext& ev,
-                             const std::vector<CompiledExpr>& preds,
-                             const Row& row, const Schema* schema,
-                             bool needs_frame) {
-  if (!needs_frame) {
-    bool unknown = false;
-    for (const auto& p : preds) {
-      Value v = p.EvalFast(row, ev.rownum);
-      if (v.is_null()) {
-        unknown = true;
-        continue;
-      }
-      if (!v.AsBool()) return Value::Boolean(false);
-    }
-    if (unknown) return Value::Null();
-    return Value::Boolean(true);
-  }
+/// the tree evaluator's resolution order exactly. On a runtime error sets
+/// *err (callers hoist one Status per batch and test it per row).
+Truth EvalPredsOnRow(EvalContext& ev, const std::vector<CompiledExpr>& preds,
+                     const Row& row, const Schema* schema, bool needs_frame,
+                     Status* err) {
+  if (!needs_frame) return EvalCompiledConjuncts(preds, row, ev, err);
   FrameGuard g(ev, schema);
   g.SetRow(&row);
-  return EvalCompiledConjuncts(preds, row, ev);
+  return EvalCompiledConjuncts(preds, row, ev, err);
 }
 
 /// Expression-list evaluation for one row (hash/sort/group keys,
@@ -238,19 +231,31 @@ Result<Value> EvalPredsOnRow(EvalContext& ev,
 Status EvalListOnRow(EvalContext& ev, const std::vector<CompiledExpr>& exprs,
                      const Row& row, const Schema* schema, bool needs_frame,
                      Row* out, bool* has_null = nullptr) {
-  if (!needs_frame) {
-    out->clear();
-    if (has_null != nullptr) *has_null = false;
-    for (const auto& e : exprs) {
-      Value v = e.EvalFast(row, ev.rownum);
-      if (has_null != nullptr && v.is_null()) *has_null = true;
-      out->push_back(std::move(v));
-    }
-    return Status::OK();
-  }
+  if (!needs_frame) return EvalCompiledList(exprs, row, ev, out, has_null);
   FrameGuard g(ev, schema);
   g.SetRow(&row);
   return EvalCompiledList(exprs, row, ev, out, has_null);
+}
+
+/// The input slots of `keys` when every key is a plain column ref (the key
+/// can then be looked up as a view over the input row); false otherwise.
+bool KeySlots(const std::vector<CompiledExpr>& keys, std::vector<int>* slots) {
+  slots->clear();
+  for (const auto& k : keys) {
+    if (k.slot() < 0) {
+      slots->clear();
+      return false;
+    }
+    slots->push_back(k.slot());
+  }
+  return true;
+}
+
+/// Slots 0..n-1: the view of an already evaluated key row.
+std::vector<int> IdentitySlots(size_t n) {
+  std::vector<int> slots(n);
+  for (size_t i = 0; i < n; ++i) slots[i] = static_cast<int>(i);
+  return slots;
 }
 
 // ---------------------------------------------------------------------------
@@ -297,12 +302,56 @@ Row MaterializeScanRow(const Row& src, const std::vector<int>& src_slots,
   return r;
 }
 
+/// A scan's pushed filter. When every predicate compiles fast against the
+/// scan's output and reads only stored columns (no rowid, no outer
+/// frames), the programs are rebased onto the stored row layout, and rows
+/// that fail the filter are never materialized; otherwise the filter runs
+/// on the materialized output row.
+class ScanFilter {
+ public:
+  explicit ScanFilter(const PlanNode* node)
+      : node_(node),
+        filter_(CompileExprList(node->filter, &node->output)),
+        needs_frame_(AnySlow(filter_)) {}
+
+  /// Rebases the filter through the scan's output-to-stored slot map (once:
+  /// a rescanned scan is re-Opened per outer row).
+  void BindSource(const std::vector<int>& src_slots) {
+    if (bound_ || filter_.empty() || needs_frame_) return;
+    bound_ = true;
+    src_filter_.reserve(filter_.size());
+    for (const auto& f : filter_) src_filter_.push_back(f.Rebased(src_slots));
+    on_source_ = !AnySlow(src_filter_);
+  }
+
+  /// False when stored row `src` fails a source-bound filter (or *err is
+  /// set); true when it passes or the filter runs on output rows instead.
+  bool PassSource(EvalContext& ev, const Row& src, Status* err) const {
+    if (!on_source_) return true;
+    return EvalCompiledConjuncts(src_filter_, src, ev, err) == Truth::kTrue;
+  }
+
+  /// The output-row half: false when materialized row `r` fails a filter
+  /// that could not be bound to the source (or *err is set).
+  bool PassOutput(EvalContext& ev, const Row& r, Status* err) const {
+    if (on_source_ || filter_.empty()) return true;
+    return EvalPredsOnRow(ev, filter_, r, &node_->output, needs_frame_, err) ==
+           Truth::kTrue;
+  }
+
+ private:
+  const PlanNode* node_;
+  std::vector<CompiledExpr> filter_;
+  bool needs_frame_;
+  bool bound_ = false;
+  std::vector<CompiledExpr> src_filter_;
+  bool on_source_ = false;
+};
+
 class TableScanOperator final : public Operator {
  public:
   TableScanOperator(ExecContext* ctx, const PlanNode* node)
-      : Operator(ctx, node),
-        filter_(CompileExprList(node->filter, &node->output)),
-        filter_needs_frame_(AnySlow(filter_)) {}
+      : Operator(ctx, node), filter_(node) {}
 
   Status Open() override {
     table_ = ctx_->db->FindTable(node_->table_name);
@@ -312,18 +361,7 @@ class TableScanOperator final : public Operator {
     }
     CBQT_RETURN_IF_ERROR(
         MapScanSlots(node_->output, table_->def(), &src_slots_));
-    // Try to bind the pushed filter directly to the stored row layout: when
-    // every predicate compiles fast against the table's columns (no rowid,
-    // no outer frames), rows that fail the filter are never materialized.
-    if (!node_->filter.empty() && src_filter_.empty()) {
-      src_schema_.clear();
-      for (const auto& col : table_->def().columns) {
-        src_schema_.push_back(
-            ColumnSlot{node_->table_alias, col.name, col.type});
-      }
-      src_filter_ = CompileExprList(node_->filter, &src_schema_);
-      filter_on_source_ = !AnySlow(src_filter_);
-    }
+    filter_.BindSource(src_slots_);
     pos_ = 0;
     return Status::OK();
   }
@@ -334,25 +372,17 @@ class TableScanOperator final : public Operator {
     if (pos_ >= rows.size()) return false;
     size_t end = std::min(rows.size(), pos_ + ctx_->batch_size);
     CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(end - pos_)));
-    if (filter_on_source_) {
-      for (; pos_ < end; ++pos_) {
-        auto pass = EvalPredsOnRow(ctx_->eval, src_filter_, rows[pos_],
-                                   &src_schema_, false);
-        if (!pass.ok()) return pass.status();
-        if (!IsTruthy(pass.value())) continue;
-        out->Add(MaterializeScanRow(rows[pos_], src_slots_,
-                                    static_cast<int64_t>(pos_)));
-      }
-      return true;
-    }
+    Status err;
     for (; pos_ < end; ++pos_) {
+      if (!filter_.PassSource(ctx_->eval, rows[pos_], &err)) {
+        CBQT_RETURN_IF_ERROR(err);
+        continue;
+      }
       Row r = MaterializeScanRow(rows[pos_], src_slots_,
                                  static_cast<int64_t>(pos_));
-      if (!filter_.empty()) {
-        auto pass = EvalPredsOnRow(ctx_->eval, filter_, r, &node_->output,
-                                   filter_needs_frame_);
-        if (!pass.ok()) return pass.status();
-        if (!IsTruthy(pass.value())) continue;
+      if (!filter_.PassOutput(ctx_->eval, r, &err)) {
+        CBQT_RETURN_IF_ERROR(err);
+        continue;
       }
       out->Add(std::move(r));
     }
@@ -360,11 +390,7 @@ class TableScanOperator final : public Operator {
   }
 
  private:
-  std::vector<CompiledExpr> filter_;
-  bool filter_needs_frame_;
-  std::vector<CompiledExpr> src_filter_;
-  Schema src_schema_;
-  bool filter_on_source_ = false;
+  ScanFilter filter_;
   const Table* table_ = nullptr;
   std::vector<int> src_slots_;
   size_t pos_ = 0;
@@ -373,9 +399,7 @@ class TableScanOperator final : public Operator {
 class IndexScanOperator final : public Operator {
  public:
   IndexScanOperator(ExecContext* ctx, const PlanNode* node)
-      : Operator(ctx, node),
-        filter_(CompileExprList(node->filter, &node->output)),
-        filter_needs_frame_(AnySlow(filter_)) {}
+      : Operator(ctx, node), filter_(node) {}
 
   Status Open() override {
     table_ = ctx_->db->FindTable(node_->table_name);
@@ -387,6 +411,7 @@ class IndexScanOperator final : public Operator {
     }
     CBQT_RETURN_IF_ERROR(
         MapScanSlots(node_->output, table_->def(), &src_slots_));
+    filter_.BindSource(src_slots_);
     // Probe values resolve through the *enclosing* frames (a rescanning
     // nested-loop join re-Opens this operator once per outer row with the
     // outer frame pushed), so they go through the tree evaluator.
@@ -407,15 +432,18 @@ class IndexScanOperator final : public Operator {
     if (pos_ >= rowids_.size()) return false;
     size_t end = std::min(rowids_.size(), pos_ + ctx_->batch_size);
     CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(end - pos_)));
+    Status err;
     for (; pos_ < end; ++pos_) {
       int64_t rowid = rowids_[pos_];
-      Row r = MaterializeScanRow(table_->rows()[static_cast<size_t>(rowid)],
-                                 src_slots_, rowid);
-      if (!filter_.empty()) {
-        auto pass = EvalPredsOnRow(ctx_->eval, filter_, r, &node_->output,
-                                   filter_needs_frame_);
-        if (!pass.ok()) return pass.status();
-        if (!IsTruthy(pass.value())) continue;
+      const Row& src = table_->rows()[static_cast<size_t>(rowid)];
+      if (!filter_.PassSource(ctx_->eval, src, &err)) {
+        CBQT_RETURN_IF_ERROR(err);
+        continue;
+      }
+      Row r = MaterializeScanRow(src, src_slots_, rowid);
+      if (!filter_.PassOutput(ctx_->eval, r, &err)) {
+        CBQT_RETURN_IF_ERROR(err);
+        continue;
       }
       out->Add(std::move(r));
     }
@@ -423,8 +451,7 @@ class IndexScanOperator final : public Operator {
   }
 
  private:
-  std::vector<CompiledExpr> filter_;
-  bool filter_needs_frame_;
+  ScanFilter filter_;
   const Table* table_ = nullptr;
   std::vector<int64_t> rowids_;
   std::vector<int> src_slots_;
@@ -453,11 +480,13 @@ class FilterOperator final : public Operator {
     if (!more.value()) return false;
     if (in_.empty()) return true;
     CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(in_.size())));
+    Status err;
     for (auto& r : in_.rows()) {
-      auto pass = EvalPredsOnRow(ctx_->eval, filter_, r, &node_->output,
-                                 filter_needs_frame_);
-      if (!pass.ok()) return pass.status();
-      if (IsTruthy(pass.value())) out->Add(std::move(r));
+      if (EvalPredsOnRow(ctx_->eval, filter_, r, &node_->output,
+                         filter_needs_frame_, &err) == Truth::kTrue) {
+        out->Add(std::move(r));
+      }
+      CBQT_RETURN_IF_ERROR(err);
     }
     return true;
   }
@@ -480,7 +509,19 @@ class ProjectOperator final : public Operator {
         in_schema_(node->children.empty() ? &node->output
                                           : &node->children[0]->output),
         projs_(CompileExprList(node->projections, in_schema_)),
-        projs_need_frame_(AnySlow(projs_)) {}
+        projs_need_frame_(AnySlow(projs_)) {
+    // Distinct plain columns are moved out of the (dead) input row instead
+    // of copied.
+    std::vector<int> slots;
+    if (KeySlots(projs_, &slots)) {
+      std::vector<int> sorted = slots;
+      std::sort(sorted.begin(), sorted.end());
+      if (std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end()) {
+        move_slots_ = std::move(slots);
+        moves_ = child_ != nullptr && !projs_.empty();
+      }
+    }
+  }
 
   Status Open() override {
     row_index_ = 0;
@@ -518,15 +559,21 @@ class ProjectOperator final : public Operator {
 
  private:
   Status ProjectRow(Row& in, int64_t rownum, RowBatch* out) {
-    // ROWNUM scopes to this projection: set for the row, restored after
-    // (the enclosing operator may maintain its own, e.g. a lazy Limit).
-    int64_t saved = ctx_->eval.rownum;
-    ctx_->eval.rownum = rownum;
     scratch_.clear();
-    Status st = EvalListOnRow(ctx_->eval, projs_, in, in_schema_,
-                              projs_need_frame_, &scratch_);
-    ctx_->eval.rownum = saved;
-    CBQT_RETURN_IF_ERROR(st);
+    if (moves_) {
+      for (int s : move_slots_) {
+        scratch_.push_back(std::move(in[static_cast<size_t>(s)]));
+      }
+    } else {
+      // ROWNUM scopes to this projection: set for the row, restored after
+      // (the enclosing operator may maintain its own, e.g. a lazy Limit).
+      int64_t saved = ctx_->eval.rownum;
+      ctx_->eval.rownum = rownum;
+      Status st = EvalListOnRow(ctx_->eval, projs_, in, in_schema_,
+                                projs_need_frame_, &scratch_);
+      ctx_->eval.rownum = saved;
+      CBQT_RETURN_IF_ERROR(st);
+    }
     // The input row is dead once evaluated; reuse its heap buffer for the
     // output row so steady-state projection allocates nothing per row.
     in.clear();
@@ -540,6 +587,8 @@ class ProjectOperator final : public Operator {
   const Schema* in_schema_;
   std::vector<CompiledExpr> projs_;
   bool projs_need_frame_;
+  bool moves_ = false;
+  std::vector<int> move_slots_;
   Row scratch_;
   RowBatch in_;
   int64_t row_index_ = 0;
@@ -629,18 +678,18 @@ class NestedLoopJoinOperator final : public Operator {
       ++examined;
       Row comb = lrow;
       comb.insert(comb.end(), rrow.begin(), rrow.end());
-      Value pass = Value::Boolean(true);
+      Truth pass = Truth::kTrue;
       if (!conds_.empty()) {
-        auto v = EvalPredsOnRow(ctx_->eval, conds_, comb, &combined_,
-                                conds_need_frame_);
-        if (!v.ok()) return v.status();
-        pass = std::move(v.value());
+        Status err;
+        pass = EvalPredsOnRow(ctx_->eval, conds_, comb, &combined_,
+                              conds_need_frame_, &err);
+        CBQT_RETURN_IF_ERROR(err);
       }
-      if (pass.is_null()) {
+      if (pass == Truth::kUnknown) {
         unknown = true;
         continue;
       }
-      if (!pass.AsBool()) continue;
+      if (pass == Truth::kFalse) continue;
       matched = true;
       if (node_->join_kind == JoinKind::kInner ||
           node_->join_kind == JoinKind::kLeftOuter) {
@@ -714,6 +763,10 @@ class HashJoinOperator final : public Operator {
     lkeys_need_frame_ = AnySlow(lkeys_);
     rkeys_need_frame_ = AnySlow(rkeys_);
     conds_need_frame_ = AnySlow(conds_);
+    if (!KeySlots(lkeys_, &lkey_slots_)) {
+      lkey_slots_ = IdentitySlots(lkeys_.size());
+      lkeys_computed_ = true;
+    }
   }
 
   Status Open() override {
@@ -822,39 +875,67 @@ class HashJoinOperator final : public Operator {
     int64_t probe_rows = 0;
   };
 
+  /// The probe key of `lrow`: a view over lrow's own slots when every
+  /// probe key is a plain column ref, else over probe_key_ (a reused
+  /// scratch row) after evaluating the keys into it. Valid until the next
+  /// call.
+  Status ProbeKeyOf(const Row& lrow, KeyView* key) {
+    const Row* base = &lrow;
+    if (lkeys_computed_) {
+      CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, lkeys_, lrow,
+                                         left_schema_, lkeys_need_frame_,
+                                         &probe_key_));
+      base = &probe_key_;
+    }
+    *key = KeyView{base, lkey_slots_.data(), lkey_slots_.size()};
+    return Status::OK();
+  }
+
   /// Probes one outer row against a (table, rows) build image and applies
   /// the join kind's emission rule. Shared by the in-memory path and the
   /// per-partition spill path; candidate rows examined are counted exactly
   /// as the row-at-a-time executor counted them.
   Status ProbeOne(const RowMap& table, const std::vector<Row>& brows,
                   Row&& lrow, std::vector<Row>* sink) {
-    // probe_key_ is a reused scratch row: key evaluation allocates nothing
-    // per probe row in steady state.
-    bool has_null = false;
-    CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, lkeys_, lrow, left_schema_,
-                                       lkeys_need_frame_, &probe_key_,
-                                       &has_null));
+    KeyView key;
+    CBQT_RETURN_IF_ERROR(ProbeKeyOf(lrow, &key));
+    const bool has_null = key.HasNull();
     bool matched = false;
     int64_t examined = 0;
     if (!has_null) {
-      auto it = table.find(probe_key_);
+      auto it = table.find(key);
       if (it != table.end()) {
-        for (size_t ri : it->second) {
+        const JoinKind kind = node_->join_kind;
+        const std::vector<size_t>& cands = it->second;
+        for (size_t c = 0; c < cands.size(); ++c) {
           ++examined;
-          const Row& rrow = brows[ri];
+          if (conds_.empty() && kind != JoinKind::kInner &&
+              kind != JoinKind::kLeftOuter) {
+            matched = true;  // semi/anti: the key match alone decides
+            break;
+          }
+          const Row& rrow = brows[cands[c]];
           Row comb;
-          comb.reserve(lrow.size() + rrow.size());
-          comb.insert(comb.end(), lrow.begin(), lrow.end());
+          if (kind == JoinKind::kInner && c + 1 == cands.size()) {
+            // Nothing reads an inner join's probe row after its last
+            // candidate: the joined row takes its values.
+            comb = std::move(lrow);
+            comb.reserve(comb.size() + rrow.size());
+          } else {
+            comb.reserve(lrow.size() + rrow.size());
+            comb.insert(comb.end(), lrow.begin(), lrow.end());
+          }
           comb.insert(comb.end(), rrow.begin(), rrow.end());
           if (!conds_.empty()) {
-            auto pass = EvalPredsOnRow(ctx_->eval, conds_, comb, &combined_,
-                                       conds_need_frame_);
-            if (!pass.ok()) return pass.status();
-            if (!IsTruthy(pass.value())) continue;
+            Status err;
+            if (EvalPredsOnRow(ctx_->eval, conds_, comb, &combined_,
+                               conds_need_frame_, &err) != Truth::kTrue) {
+              CBQT_RETURN_IF_ERROR(err);
+              continue;
+            }
           }
           matched = true;
-          if (node_->join_kind == JoinKind::kInner ||
-              node_->join_kind == JoinKind::kLeftOuter) {
+          if (kind == JoinKind::kInner || kind == JoinKind::kLeftOuter) {
             sink->push_back(std::move(comb));
           } else {
             break;  // semi/anti: first match decides
@@ -933,12 +1014,9 @@ class HashJoinOperator final : public Operator {
       if (b.empty()) continue;
       CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(b.size())));
       for (auto& lrow : b.rows()) {
-        Row key;
-        bool has_null = false;
-        CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, lkeys_, lrow,
-                                           left_schema_, lkeys_need_frame_,
-                                           &key, &has_null));
-        if (has_null) {
+        KeyView key;
+        CBQT_RETURN_IF_ERROR(ProbeKeyOf(lrow, &key));
+        if (key.HasNull()) {
           switch (node_->join_kind) {
             case JoinKind::kAnti:
               pending_.push_back(std::move(lrow));
@@ -958,7 +1036,7 @@ class HashJoinOperator final : public Operator {
           }
           continue;
         }
-        Part& p = parts_[PartitionOfKey(key, 0)];
+        Part& p = parts_[PartitionOfHash(HashKey(key), 0)];
         CBQT_RETURN_IF_ERROR(p.probe->Append(lrow));
         ++p.probe_rows;
       }
@@ -1105,10 +1183,8 @@ class HashJoinOperator final : public Operator {
                         kind == JoinKind::kAntiNA)) {
           continue;  // verdict decided by an earlier chunk
         }
-        Row key;
-        CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, lkeys_, lrow,
-                                           left_schema_, lkeys_need_frame_,
-                                           &key, nullptr));
+        KeyView key;
+        CBQT_RETURN_IF_ERROR(ProbeKeyOf(lrow, &key));
         auto it = table.find(key);
         if (it == table.end()) continue;
         int64_t examined = 0;
@@ -1118,10 +1194,12 @@ class HashJoinOperator final : public Operator {
           const Row& rrow = brows[ri];
           comb.insert(comb.end(), rrow.begin(), rrow.end());
           if (!conds_.empty()) {
-            auto pass = EvalPredsOnRow(ctx_->eval, conds_, comb, &combined_,
-                                       conds_need_frame_);
-            if (!pass.ok()) return pass.status();
-            if (!IsTruthy(pass.value())) continue;
+            Status err;
+            if (EvalPredsOnRow(ctx_->eval, conds_, comb, &combined_,
+                               conds_need_frame_, &err) != Truth::kTrue) {
+              CBQT_RETURN_IF_ERROR(err);
+              continue;
+            }
           }
           matched[static_cast<size_t>(pi)] = 1;
           if (kind == JoinKind::kInner || kind == JoinKind::kLeftOuter) {
@@ -1180,6 +1258,11 @@ class HashJoinOperator final : public Operator {
   bool lkeys_need_frame_ = false;
   bool rkeys_need_frame_ = false;
   bool conds_need_frame_ = false;
+  // Probe keys are looked up as KeyViews: over the probe row itself
+  // (lkey_slots_ = the key columns' slots) unless some key is computed,
+  // then over probe_key_ (lkey_slots_ = 0..n-1).
+  std::vector<int> lkey_slots_;
+  bool lkeys_computed_ = false;
   Row probe_key_;
 
   RowMap table_;
@@ -1339,10 +1422,12 @@ class MergeJoinOperator final : public BufferedOperator {
           Row comb = *lk[a].row;
           comb.insert(comb.end(), rk[b].row->begin(), rk[b].row->end());
           if (!conds_.empty()) {
-            auto pass = EvalPredsOnRow(ctx_->eval, conds_, comb, &combined_,
-                                       conds_need_frame_);
-            if (!pass.ok()) return pass.status();
-            if (!IsTruthy(pass.value())) continue;
+            Status err;
+            if (EvalPredsOnRow(ctx_->eval, conds_, comb, &combined_,
+                               conds_need_frame_, &err) != Truth::kTrue) {
+              CBQT_RETURN_IF_ERROR(err);
+              continue;
+            }
           }
           pending_.push_back(std::move(comb));
         }
@@ -1394,6 +1479,8 @@ class AggregateOperator final : public BufferedOperator {
     for (size_t a = 0; a < args_.size(); ++a) {
       if (arg_used_[a] && !args_[a].fast()) args_need_frame_ = true;
     }
+    keys_are_slots_ = KeySlots(keys_, &key_slots_);
+    scratch_slots_ = IdentitySlots(keys_.size());
   }
 
   void Close() override { child_->Close(); }
@@ -1419,6 +1506,8 @@ class AggregateOperator final : public BufferedOperator {
       for (int g : set) in_set[static_cast<size_t>(g)] = true;
 
       AggState st;
+      st.view_key = keys_are_slots_ && std::find(in_set.begin(), in_set.end(),
+                                                 false) == in_set.end();
       st.mem.emplace(ctx_->BufferReservation());
       if (multi_set) {
         CBQT_RETURN_IF_ERROR(
@@ -1464,6 +1553,9 @@ class AggregateOperator final : public BufferedOperator {
     bool spilled = false;
     int salt = 0;
     std::vector<SpillFile*> parts;
+    // Every key is a plain column and the grouping set holds them all:
+    // look groups up through a view over the input row.
+    bool view_key = false;
   };
 
   Status ConsumeRow(AggState& st, const std::vector<bool>& in_set,
@@ -1475,58 +1567,64 @@ class AggregateOperator final : public BufferedOperator {
       fg.emplace(ctx_->eval, in_schema_);
       fg->SetRow(&r);
     }
-    // key_scratch_ is reused across rows; try_emplace only consumes it when
-    // a new group is created, so repeated keys allocate nothing.
-    Row& key = key_scratch_;
-    key.clear();
-    key.reserve(num_keys);
-    for (size_t g = 0; g < num_keys; ++g) {
-      if (!in_set[g]) {
-        key.push_back(Value::Null());
-        continue;
-      }
-      if (keys_[g].fast()) {
-        key.push_back(keys_[g].EvalFast(r, ctx_->eval.rownum));
-      } else {
-        auto v = keys_[g].EvalSlow(ctx_->eval);
-        if (!v.ok()) return v.status();
-        key.push_back(std::move(v.value()));
-      }
-    }
-    std::vector<AggAccum>* accums = nullptr;
-    if (st.spilled) {
-      auto it = st.groups.find(key);
-      if (it == st.groups.end()) {
-        // Not resident: route to the key's partition for a later pass.
-        return st.parts[PartitionOfKey(key, st.salt)]->Append(r);
-      }
-      accums = &it->second;
-    } else {
-      auto [it, inserted] = st.groups.try_emplace(std::move(key));
-      if (inserted) {
-        it->second.resize(num_aggs);
-        Status charged = ctx_->ChargeBufferedRow(
-            *st.mem, it->first,
-            static_cast<int64_t>(num_aggs * sizeof(AggAccum)));
-        if (!charged.ok()) {
-          if (!ctx_->ShouldSpill(charged)) return charged;
-          // Switch to hybrid mode: evict the uncharged group, keep every
-          // already-charged group aggregating in memory, and route the
-          // overflow keys (starting with this one) to partitions.
-          Row key_copy = it->first;
-          st.groups.erase(it);
-          CBQT_RETURN_IF_ERROR(BeginAggSpill(st));
-          return st.parts[PartitionOfKey(key_copy, st.salt)]->Append(r);
+    // The group key is looked up as a view: over the input row itself
+    // (st.view_key), else over key_scratch_ (reused across rows). A key Row
+    // is materialized only when a new group is inserted.
+    Status err;
+    KeyView key{&r, key_slots_.data(), num_keys};
+    if (!st.view_key) {
+      Row& scratch = key_scratch_;
+      scratch.clear();
+      scratch.reserve(num_keys);
+      for (size_t g = 0; g < num_keys; ++g) {
+        if (!in_set[g]) {
+          scratch.push_back(Value::Null());
+          continue;
+        }
+        if (keys_[g].fast()) {
+          scratch.push_back(keys_[g].EvalFast(r, ctx_->eval.rownum, &err));
+          CBQT_RETURN_IF_ERROR(err);
+        } else {
+          auto v = keys_[g].EvalSlow(ctx_->eval);
+          if (!v.ok()) return v.status();
+          scratch.push_back(std::move(v.value()));
         }
       }
-      accums = &it->second;
+      key = KeyView{&scratch, scratch_slots_.data(), num_keys};
     }
+    auto it = st.groups.find(key);
+    if (it == st.groups.end()) {
+      // Not resident: once spilled, route the row to its key's partition
+      // for a later pass.
+      if (st.spilled) {
+        return st.parts[PartitionOfHash(HashKey(key), st.salt)]->Append(r);
+      }
+      Row owned = key.row == &key_scratch_ ? std::move(key_scratch_)
+                                           : key.Materialize();
+      it = st.groups.try_emplace(std::move(owned)).first;
+      it->second.resize(num_aggs);
+      Status charged = ctx_->ChargeBufferedRow(
+          *st.mem, it->first,
+          static_cast<int64_t>(num_aggs * sizeof(AggAccum)));
+      if (!charged.ok()) {
+        if (!ctx_->ShouldSpill(charged)) return charged;
+        // Switch to hybrid mode: evict the uncharged group, keep every
+        // already-charged group aggregating in memory, and route the
+        // overflow keys (starting with this one) to partitions.
+        size_t part = PartitionOfKey(it->first, st.salt);
+        st.groups.erase(it);
+        CBQT_RETURN_IF_ERROR(BeginAggSpill(st));
+        return st.parts[part]->Append(r);
+      }
+    }
+    std::vector<AggAccum>* accums = &it->second;
     for (size_t a = 0; a < num_aggs; ++a) {
       const Expr& agg = *node_->agg_exprs[a];
       Value v = Value::Null();
       if (arg_used_[a]) {
         if (args_[a].fast()) {
-          v = args_[a].EvalFast(r, ctx_->eval.rownum);
+          v = args_[a].EvalFast(r, ctx_->eval.rownum, &err);
+          CBQT_RETURN_IF_ERROR(err);
         } else {
           auto res = args_[a].EvalSlow(ctx_->eval);
           if (!res.ok()) return res.status();
@@ -1580,6 +1678,7 @@ class AggregateOperator final : public BufferedOperator {
       if (f->row_count() == 0) continue;
       AggState sub;
       sub.salt = depth + 1;
+      sub.view_key = st.view_key;
       sub.mem.emplace(ctx_->BufferReservation());
       CBQT_RETURN_IF_ERROR(f->Rewind());
       Row r;
@@ -1605,6 +1704,9 @@ class AggregateOperator final : public BufferedOperator {
   std::vector<bool> arg_used_;
   bool keys_need_frame_ = false;
   bool args_need_frame_ = false;
+  bool keys_are_slots_ = false;
+  std::vector<int> key_slots_;      // the keys' input slots, if all columns
+  std::vector<int> scratch_slots_;  // 0..n-1, viewing key_scratch_
   Row key_scratch_;
 };
 
@@ -2077,13 +2179,14 @@ class LimitOperator final : public Operator {
       if (!filter_.empty()) {
         // Lazy ROWNUM: the filter sees the next *output* position.
         ctx_->eval.rownum = emitted_ + 1;
-        auto pass = EvalPredsOnRow(ctx_->eval, filter_, r, in_schema_,
-                                   filter_needs_frame_);
-        if (!pass.ok()) {
+        Status err;
+        Truth pass = EvalPredsOnRow(ctx_->eval, filter_, r, in_schema_,
+                                    filter_needs_frame_, &err);
+        if (!err.ok()) {
           ctx_->eval.rownum = saved_rownum;
-          return pass.status();
+          return err;
         }
-        if (!IsTruthy(pass.value())) continue;
+        if (pass != Truth::kTrue) continue;
       }
       ++emitted_;
       out->Add(std::move(r));
@@ -2358,10 +2461,11 @@ class SubqueryFilterOperator final : public Operator {
     for (auto& r : in_.rows()) {
       g.SetRow(&r);
       ev.subquery_resolver = resolver_.get();
-      auto pass = EvalCompiledConjuncts(conds_, r, ev);
+      Status err;
+      Truth pass = EvalCompiledConjuncts(conds_, r, ev, &err);
       ev.subquery_resolver = saved;
-      if (!pass.ok()) return pass.status();
-      if (IsTruthy(pass.value())) out->Add(std::move(r));
+      CBQT_RETURN_IF_ERROR(err);
+      if (pass == Truth::kTrue) out->Add(std::move(r));
     }
     return true;
   }

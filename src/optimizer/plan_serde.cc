@@ -299,6 +299,7 @@ Status ReadExpr(ByteReader* r, ExprPtr* out, int depth) {
   CBQT_RETURN_IF_ERROR(r->Enum(&e->agg, kMaxAggFunc));
   CBQT_RETURN_IF_ERROR(r->Bool(&e->agg_distinct));
   CBQT_RETURN_IF_ERROR(r->Str(&e->func_name));
+  e->scalar_fn = LookupScalarFn(e->func_name);
   CBQT_RETURN_IF_ERROR(r->Enum(&e->subkind, kMaxSubqueryKind));
   CBQT_RETURN_IF_ERROR(r->Enum(&e->sub_cmp, kMaxBinaryOp));
   bool has_subquery = false;

@@ -23,7 +23,7 @@ namespace {
 int CountExpensiveCalls(const Expr& e) {
   int n = 0;
   VisitExprConst(&e, [&n](const Expr* x) {
-    if (x->kind == ExprKind::kFuncCall && StartsWith(x->func_name, "expensive_")) {
+    if (x->kind == ExprKind::kFuncCall && x->scalar_fn == ScalarFn::kExpensive) {
       ++n;
     }
   });

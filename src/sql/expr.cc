@@ -19,6 +19,7 @@ ExprPtr Expr::Clone() const {
   out->uop = uop;
   out->agg = agg;
   out->agg_distinct = agg_distinct;
+  out->scalar_fn = scalar_fn;
   out->func_name = func_name;
   out->subkind = subkind;
   out->sub_cmp = sub_cmp;
@@ -43,6 +44,7 @@ ExprPtr Expr::CloneCow() const {
   out->uop = uop;
   out->agg = agg;
   out->agg_distinct = agg_distinct;
+  out->scalar_fn = scalar_fn;
   out->func_name = func_name;
   out->subkind = subkind;
   out->sub_cmp = sub_cmp;
@@ -127,6 +129,7 @@ ExprPtr MakeCountStar() {
 ExprPtr MakeFuncCall(std::string name, std::vector<ExprPtr> args) {
   auto e = std::make_unique<Expr>();
   e->kind = ExprKind::kFuncCall;
+  e->scalar_fn = LookupScalarFn(name);
   e->func_name = std::move(name);
   e->children = std::move(args);
   return e;

@@ -8,6 +8,7 @@
 
 #include "common/value.h"
 #include "sql/cow.h"
+#include "sql/scalar_fn.h"
 #include "sql/type.h"
 
 namespace cbqt {
@@ -101,6 +102,9 @@ struct Expr {
   bool agg_distinct = false;
 
   // -- kFuncCall --
+  /// func_name resolved against the scalar-function table when the node is
+  /// built (kNone for an unregistered name).
+  ScalarFn scalar_fn = ScalarFn::kNone;
   std::string func_name;  ///< lower-cased
 
   // -- kSubquery --

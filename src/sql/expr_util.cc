@@ -190,7 +190,7 @@ bool ContainsExpensivePredicate(const Expr& e) {
   bool found = false;
   VisitExprConst(&e, [&](const Expr* x) {
     if (x->kind == ExprKind::kFuncCall &&
-        StartsWith(x->func_name, "expensive_")) {
+        x->scalar_fn == ScalarFn::kExpensive) {
       found = true;
     }
     if (x->kind == ExprKind::kSubquery) found = true;

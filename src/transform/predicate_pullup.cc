@@ -1,6 +1,5 @@
 #include "transform/predicate_pullup.h"
 
-#include "common/str_util.h"
 #include "transform/transform_util.h"
 
 namespace cbqt {
@@ -17,7 +16,7 @@ bool HasExpensiveCall(const Expr& e) {
   bool found = false;
   VisitExprConst(&e, [&](const Expr* x) {
     if (x->kind == ExprKind::kFuncCall &&
-        StartsWith(x->func_name, "expensive_")) {
+        x->scalar_fn == ScalarFn::kExpensive) {
       found = true;
     }
   });

@@ -137,6 +137,84 @@ TEST_F(BatchExecutorTest, MatchesOracleAcrossBatchSizes) {
   }
 }
 
+// Counts plan nodes of kind `op` (with a non-empty filter when
+// `with_filter`).
+int CountNodes(const PlanNode& node, PlanOp op, bool with_filter = false) {
+  int n = node.op == op && (!with_filter || !node.filter.empty()) ? 1 : 0;
+  for (const auto& c : node.children) n += CountNodes(*c, op, with_filter);
+  return n;
+}
+
+// The in-place kernels: index scans whose residual filter runs on the
+// stored row (including a scalar function), and hash joins / aggregations
+// whose keys are looked up as views over the input row — on string keys,
+// on mixed int/double keys (Int(2) and Real(2.0) must hash and compare
+// equal), and on computed keys (evaluated into a scratch row).
+struct KernelQuery {
+  const char* sql;
+  PlanOp must_have;
+  bool with_filter;
+};
+const KernelQuery kKernelQueries[] = {
+    {"SELECT e.employee_name, e.salary FROM employees e WHERE e.emp_id = 17 "
+     "AND e.salary > 1000",
+     PlanOp::kIndexScan, true},
+    {"SELECT e.employee_name FROM employees e WHERE e.emp_id = 42 AND "
+     "upper(e.employee_name) <> 'X' AND mod(e.dept_id, 2) = 0",
+     PlanOp::kIndexScan, true},
+    {"SELECT j.emp_id, jb.job_id FROM job_history j, jobs jb WHERE "
+     "j.job_title = jb.job_title",
+     PlanOp::kHashJoin, false},
+    {"SELECT e.emp_id, d.dept_name FROM employees e, departments d WHERE "
+     "e.dept_id = d.dept_id + 0.0",
+     PlanOp::kHashJoin, false},
+    {"SELECT e.emp_id, j.job_title FROM employees e, job_history j WHERE "
+     "e.emp_id * 1.0 = j.emp_id AND j.job_title > 'A'",
+     PlanOp::kHashJoin, false},
+    {"SELECT j.job_title, COUNT(*), MIN(j.emp_id) FROM job_history j GROUP "
+     "BY j.job_title",
+     PlanOp::kAggregate, false},
+    {"SELECT e.dept_id + 0.5, COUNT(*) FROM employees e GROUP BY e.dept_id "
+     "+ 0.5",
+     PlanOp::kAggregate, false},
+};
+
+TEST_F(BatchExecutorTest, InPlaceKernelsMatchOracleAcrossBatchSizes) {
+  for (const KernelQuery& q : kKernelQueries) {
+    auto plan = Plan(q.sql);
+    ASSERT_NE(plan, nullptr) << q.sql;
+    EXPECT_GT(CountNodes(*plan, q.must_have, q.with_filter), 0)
+        << q.sql << "\n" << PlanToString(*plan);
+    std::vector<Row> expected = Oracle(q.sql);
+    EXPECT_FALSE(expected.empty()) << q.sql;
+    for (size_t batch : {size_t{1}, size_t{3}, size_t{1024}}) {
+      ExecOptions opts;
+      opts.batch_size = batch;
+      auto result = Run(*plan, std::move(opts));
+      ASSERT_TRUE(result.ok())
+          << result.status().ToString() << "\nbatch=" << batch << "\n"
+          << q.sql;
+      ExpectSameRows(std::move(result.value().rows), expected,
+                     std::string(q.sql) + " batch=" + std::to_string(batch));
+    }
+  }
+}
+
+// A scalar function that meets a value of the wrong kind at runtime (the
+// CASE is typed VARCHAR by its first branch but yields an INT) fails the
+// query with a typed error instead of throwing.
+TEST_F(BatchExecutorTest, ScalarFunctionKindErrorIsTyped) {
+  const char* sql =
+      "SELECT e.emp_id FROM employees e WHERE upper(CASE WHEN e.emp_id < 0 "
+      "THEN 'x' ELSE e.emp_id END) = 'X'";
+  auto plan = Plan(sql);
+  ASSERT_NE(plan, nullptr);
+  auto result = Run(*plan, ExecOptions{});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+}
+
 // ---------------------------------------------------------------------------
 // Spill-to-disk pipeline breakers
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "parser/parser.h"
 #include "tests/test_util.h"
 
 namespace cbqt {
@@ -181,6 +182,73 @@ TEST_F(BinderTest, TypeDerivation) {
   EXPECT_EQ(qb->select[2].expr->type, DataType::kBool);
   EXPECT_EQ(qb->select[3].expr->type, DataType::kInt64);
   EXPECT_EQ(qb->select[4].expr->type, DataType::kDouble);
+}
+
+// Binds `sql` and returns the status (parse must succeed).
+Status BindStatus(const Database& db, const std::string& sql) {
+  auto parsed = ParseSql(sql);
+  EXPECT_TRUE(parsed.ok()) << sql;
+  if (!parsed.ok()) return parsed.status();
+  return BindQuery(db, parsed.value().get());
+}
+
+// Each of these used to pass the binder and then crash the process at
+// execution: abs()/floor() read args[0] of an empty argument list
+// (segfault); upper() on a DOUBLE and AND/NOT over a DOUBLE called AsBool /
+// AsString on the wrong variant alternative (std::bad_variant_access); an
+// unknown function failed only after optimization.
+TEST_F(BinderTest, ScalarFunctionCallsValidated) {
+  const char* bad[] = {
+      "SELECT abs() FROM employees e",
+      "SELECT floor() FROM employees e",
+      "SELECT mod(e.emp_id) FROM employees e",
+      "SELECT abs(e.salary, 2) FROM employees e",
+      "SELECT upper(e.salary) FROM employees e WHERE e.emp_id = 1",
+      "SELECT lower(e.emp_id) FROM employees e",
+      "SELECT abs(e.employee_name) FROM employees e",
+      "SELECT foo(e.salary) FROM employees e",
+      "SELECT e.emp_id FROM employees e WHERE foo(e.salary) = 1",
+      "SELECT expensive_filter(e.emp_id, 2, 3) FROM employees e",
+  };
+  for (const char* sql : bad) {
+    EXPECT_EQ(BindStatus(*db_, sql).code(), StatusCode::kBindError) << sql;
+  }
+  auto qb = ParseAndBind(
+      *db_,
+      "SELECT abs(e.salary), mod(e.emp_id, 3), floor(e.salary), "
+      "upper(e.employee_name), lower(NULL), expensive_filter(e.emp_id, 4) "
+      "FROM employees e");
+  ASSERT_NE(qb, nullptr);
+  EXPECT_EQ(qb->select[0].expr->type, DataType::kDouble);
+  EXPECT_EQ(qb->select[3].expr->type, DataType::kString);
+  EXPECT_EQ(qb->select[4].expr->type, DataType::kString);
+  EXPECT_EQ(qb->select[5].expr->type, DataType::kDouble);
+}
+
+TEST_F(BinderTest, NonBooleanPredicatesRejected) {
+  const char* bad[] = {
+      "SELECT e.emp_id FROM employees e WHERE e.emp_id = 1 AND e.salary",
+      "SELECT e.emp_id FROM employees e WHERE e.emp_id = 1 AND NOT e.salary",
+      "SELECT e.emp_id FROM employees e WHERE e.salary",
+      "SELECT e.emp_id FROM employees e WHERE e.emp_id = 1 OR "
+      "e.employee_name",
+      "SELECT e.emp_id FROM employees e WHERE NOT e.emp_id",
+      "SELECT e.dept_id FROM employees e GROUP BY e.dept_id HAVING COUNT(*)",
+      "SELECT e.emp_id FROM employees e JOIN departments d ON e.dept_id",
+      "SELECT e.emp_id FROM employees e WHERE abs(e.salary)",
+  };
+  for (const char* sql : bad) {
+    EXPECT_EQ(BindStatus(*db_, sql).code(), StatusCode::kBindError) << sql;
+  }
+  // Boolean and NULL-typed predicates stay legal.
+  EXPECT_TRUE(BindStatus(*db_,
+                         "SELECT e.emp_id FROM employees e WHERE NOT (e.emp_id "
+                         "= 1) AND (e.salary > 2 OR NULL)")
+                  .ok());
+  EXPECT_TRUE(BindStatus(*db_,
+                         "SELECT e.emp_id FROM employees e JOIN departments d "
+                         "ON e.dept_id = d.dept_id WHERE NULL")
+                  .ok());
 }
 
 }  // namespace
