@@ -388,8 +388,8 @@ int main(int argc, char** argv) {
   if (!db.Analyze().ok()) return 1;
 
   std::printf(
-      "\nvectorized executor vs row-at-a-time baseline (best of %d reps, "
-      "gate >= %.1fx)\n\n",
+      "\nvectorized executor vs row-at-a-time baseline (best of %d "
+      "interleaved reps, gate >= %.1fx)\n\n",
       reps, kSpeedupGate);
   std::printf("  %-16s %10s %12s %12s %9s\n", "workload", "rows", "base(ms)",
               "batch(ms)", "speedup");
@@ -412,25 +412,28 @@ int main(int argc, char** argv) {
     }
     const PlanNode& plan = *bp->plan;
 
+    // Baseline and vectorized reps alternate, and which side runs first
+    // alternates with them, so host speed drifting during the run weighs
+    // on both sides alike; each side keeps its best time.
     RowAtATimeBaseline baseline(db);
     std::vector<Row> base_rows;
+    std::vector<Row> batch_rows;
     double base_ms = 1e300;
-    for (int r = 0; r < reps; ++r) {
+    double batch_ms = 1e300;
+    auto run_baseline = [&]() {
       double t0 = TickMs();
       auto rows = baseline.Run(plan);
       double dt = TickMs() - t0;
       if (!rows.ok()) {
         std::fprintf(stderr, "  [%s] baseline failed: %s\n", w.name,
                      rows.status().ToString().c_str());
-        return 1;
+        return false;
       }
       base_ms = std::min(base_ms, dt);
       base_rows = std::move(rows.value());
-    }
-
-    std::vector<Row> batch_rows;
-    double batch_ms = 1e300;
-    for (int r = 0; r < reps; ++r) {
+      return true;
+    };
+    auto run_batch = [&]() {
       Executor exec(db, ExecOptions{});
       double t0 = TickMs();
       auto result = exec.Execute(plan);
@@ -438,10 +441,16 @@ int main(int argc, char** argv) {
       if (!result.ok()) {
         std::fprintf(stderr, "  [%s] batch executor failed: %s\n", w.name,
                      result.status().ToString().c_str());
-        return 1;
+        return false;
       }
       batch_ms = std::min(batch_ms, dt);
       batch_rows = std::move(result.value().rows);
+      return true;
+    };
+    for (int r = 0; r < reps; ++r) {
+      bool ok = r % 2 == 0 ? run_baseline() && run_batch()
+                           : run_batch() && run_baseline();
+      if (!ok) return 1;
     }
 
     if (!RowsIdentical(base_rows, batch_rows)) {

@@ -13,6 +13,7 @@
 #include "exec/executor.h"
 #include "optimizer/planner.h"
 #include "parser/parser.h"
+#include "sql/fingerprint.h"
 #include "sql/signature.h"
 #include "workload/runner.h"
 #include "workload/schema_gen.h"
@@ -88,6 +89,17 @@ void BM_BlockSignature(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BlockSignature);
+
+// Both 64-bit fingerprints of the same tree, from a fresh (empty) memo each
+// iteration: the per-tree cost the planner pays once per planning call.
+void BM_BlockFingerprint(benchmark::State& state) {
+  auto& qb = SharedBoundQuery();
+  for (auto _ : state) {
+    Fingerprint fp = BlockFingerprint(*qb);
+    benchmark::DoNotOptimize(fp);
+  }
+}
+BENCHMARK(BM_BlockFingerprint);
 
 void BM_PhysicalPlanColdCache(benchmark::State& state) {
   Database* db = SharedDb();

@@ -515,6 +515,14 @@ Status Binder::DeriveType(Expr* e) {
     case ExprKind::kFuncCall:
       CBQT_RETURN_IF_ERROR(CheckScalarFnCall(*e));
       e->type = GetScalarFnInfo(e->scalar_fn).result;
+      if (e->scalar_fn == ScalarFn::kMod) {
+        // Integer remainder on integer arguments, fmod otherwise.
+        bool all_int = true;
+        for (const auto& arg : e->children) {
+          all_int = all_int && arg->type == DataType::kInt64;
+        }
+        e->type = all_int ? DataType::kInt64 : DataType::kDouble;
+      }
       break;
     case ExprKind::kSubquery:
       if (e->subkind == SubqueryKind::kScalar) {
@@ -542,9 +550,33 @@ Status Binder::DeriveType(Expr* e) {
     case ExprKind::kRownum:
       e->type = DataType::kInt64;
       break;
-    case ExprKind::kCase:
-      if (e->children.size() >= 2) e->type = e->children[1]->type;
+    case ExprKind::kCase: {
+      // The common type of every THEN and ELSE result: children alternate
+      // WHEN/THEN, and an odd count ends with the ELSE. NULL and untyped
+      // results take any type; INT with DOUBLE widens to DOUBLE.
+      DataType type = DataType::kUnknown;
+      auto merge = [&type](const Expr& leg) {
+        DataType t = leg.type;
+        if (t == DataType::kUnknown || t == type) return Status::OK();
+        if (type == DataType::kUnknown) {
+          type = t;
+        } else if ((type == DataType::kInt64 || type == DataType::kDouble) &&
+                   (t == DataType::kInt64 || t == DataType::kDouble)) {
+          type = DataType::kDouble;
+        } else {
+          return Status::BindError("CASE mixes " + DataTypeName(type) +
+                                   " and " + DataTypeName(t) + " results");
+        }
+        return Status::OK();
+      };
+      const size_t n = e->children.size();
+      for (size_t i = 1; i < n; i += 2) {
+        CBQT_RETURN_IF_ERROR(merge(*e->children[i]));
+      }
+      if (n % 2 == 1) CBQT_RETURN_IF_ERROR(merge(*e->children[n - 1]));
+      e->type = type;
       break;
+    }
   }
   return Status::OK();
 }

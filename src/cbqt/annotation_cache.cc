@@ -6,13 +6,11 @@ namespace cbqt {
 
 namespace {
 
-/// Estimated footprint of one cached annotation: the entry struct, the key
-/// string, the out-stats, and the memoized plan tree.
-int64_t EstimateEntryBytes(std::string_view signature,
-                           const CostAnnotation& annotation) {
+/// Estimated footprint of one cached annotation: the entry struct, the key,
+/// and the memoized plan tree.
+int64_t EstimateEntryBytes(const CostAnnotation& annotation) {
   int64_t bytes = static_cast<int64_t>(sizeof(CostAnnotation)) +
-                  static_cast<int64_t>(signature.size()) +
-                  static_cast<int64_t>(annotation.exact_sql.size());
+                  static_cast<int64_t>(sizeof(Hash128));
   if (annotation.plan != nullptr) bytes += annotation.plan->EstimateBytes();
   return bytes;
 }
@@ -40,17 +38,17 @@ AnnotationCache::~AnnotationCache() {
   }
 }
 
-AnnotationCache::Shard& AnnotationCache::ShardFor(
-    std::string_view signature) const {
-  size_t h = std::hash<std::string_view>{}(signature);
-  return *shards_[h % shards_.size()];
+AnnotationCache::Shard& AnnotationCache::ShardFor(const Hash128& key) const {
+  // Top bits: the shard's own map buckets by the low bits of the same hash.
+  uint64_t h = Hash128Hasher{}(key);
+  return *shards_[(h >> 40) % shards_.size()];
 }
 
 std::shared_ptr<const CostAnnotation> AnnotationCache::Find(
-    std::string_view signature) const {
-  Shard& shard = ShardFor(signature);
+    const Hash128& key) const {
+  Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(signature);
+  auto it = shard.map.find(key);
   if (it == shard.map.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
@@ -60,31 +58,30 @@ std::shared_ptr<const CostAnnotation> AnnotationCache::Find(
   return it->second.annotation;
 }
 
-void AnnotationCache::Put(std::string_view signature,
-                          CostAnnotation annotation) {
+void AnnotationCache::Put(const Hash128& key, CostAnnotation annotation) {
   int64_t entry_bytes =
-      tracker_ != nullptr ? EstimateEntryBytes(signature, annotation) : 0;
+      tracker_ != nullptr ? EstimateEntryBytes(annotation) : 0;
   auto entry =
       std::make_shared<const CostAnnotation>(std::move(annotation));
-  Shard& shard = ShardFor(signature);
+  Shard& shard = ShardFor(key);
   int64_t delta = 0;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(signature);
+    auto it = shard.map.find(key);
     if (it != shard.map.end()) {
       delta = entry_bytes - it->second.bytes;
       it->second.annotation = std::move(entry);
       it->second.bytes = entry_bytes;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
     } else {
-      auto pos = shard.map.try_emplace(std::string(signature)).first;
+      auto pos = shard.map.try_emplace(key).first;
       pos->second.annotation = std::move(entry);
       pos->second.bytes = entry_bytes;
       shard.lru.push_front(&pos->first);
       pos->second.lru_it = shard.lru.begin();
       delta = entry_bytes;
       if (shard_capacity_ > 0 && shard.map.size() > shard_capacity_) {
-        const std::string* victim = shard.lru.back();
+        const Hash128* victim = shard.lru.back();
         shard.lru.pop_back();
         auto vit = shard.map.find(*victim);
         delta -= vit->second.bytes;

@@ -7,19 +7,20 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/memory_tracker.h"
 #include "optimizer/card_est.h"
 #include "optimizer/plan.h"
+#include "sql/fingerprint.h"
 
 namespace cbqt {
 
-/// The optimization result of one query block, memoized by structural
-/// signature.
+/// The optimization result of one query block, memoized by the block's
+/// canonical fingerprint (sql/fingerprint.h), or of one join-order DP
+/// subproblem (the join memo's 128-bit subset key).
 struct CostAnnotation {
   double cost = 0;
   double rows = 0;
@@ -27,15 +28,20 @@ struct CostAnnotation {
   /// Shared, immutable: a hit hands this very tree to the planner, which
   /// links it into the new plan instead of copying it.
   PlanPtr plan;
-  /// Exact (non-canonicalized) unparsing of the annotated block. The cache
-  /// key canonicalizes orderings SQL leaves free (sql/signature.h), so one
-  /// key covers a whole equivalence class; consumers that require
+  /// Exact fingerprint of the annotated block (Fingerprint::exact: equal
+  /// exactly when the unparsed text is equal). The cache key is the
+  /// canonical fingerprint, which covers a whole equivalence class of
+  /// blocks (orderings SQL leaves free); consumers that require
   /// bit-identical plans (the per-optimization cache, whose reuse must not
   /// depend on which class member was cached first) compare this field and
   /// treat a mismatch as a miss. MQO cross-query sharing reuses the whole
-  /// class (row-identical, not plan-text-identical).
-  std::string exact_sql;
+  /// class (row-identical, not plan-text-identical). Unused (0) by the join
+  /// memo, whose key already pins the exact inputs.
+  uint64_t exact_fingerprint = 0;
 };
+
+/// The annotation-cache key of a query block: its canonical fingerprint.
+inline Hash128 BlockKey(const Fingerprint& fp) { return {fp.canonical, 0}; }
 
 /// Re-use of query sub-tree cost annotations (paper §3.4.2): when the CBQT
 /// framework costs many transformation states of the same query, unchanged
@@ -44,8 +50,12 @@ struct CostAnnotation {
 /// these reuses (12 blocks optimized, 4 reused, for Q1 under exhaustive
 /// search).
 ///
-/// Thread-safe: the map is split into mutex-guarded shards keyed by a hash
-/// of the signature, so concurrent state evaluations (parallel search)
+/// Keys are fixed-size 128-bit hashes (common/hash.h): a block's canonical
+/// fingerprint, or a join-order memo subset key. Equal keys are taken as
+/// equal entries — no text is kept to re-verify them.
+///
+/// Thread-safe: the map is split into mutex-guarded shards chosen by the
+/// key's top hash bits, so concurrent state evaluations (parallel search)
 /// contend only when they touch the same shard. Entries are immutable once
 /// published; Find hands out a shared_ptr so a hit stays valid even if the
 /// entry is concurrently replaced, evicted, or the cache cleared.
@@ -53,13 +63,9 @@ struct CostAnnotation {
 /// Bounded: `capacity` (total entries, split evenly across shards) caps the
 /// cache with per-shard LRU eviction, so a pathological state space cannot
 /// grow it without limit; evictions are counted. The default capacity is far
-/// above any per-optimization signature population the paper's workloads
+/// above any per-optimization block population the paper's workloads
 /// produce (Table 1 needs a few dozen), so reuse numbers are unaffected.
 /// 0 = unbounded.
-///
-/// Lookup is heterogeneous (transparent hash/equality): Find and Put accept
-/// std::string_view, so per-state probes with an already-materialized
-/// signature never copy the string.
 class AnnotationCache {
  public:
   static constexpr int kDefaultShards = 16;
@@ -79,9 +85,9 @@ class AnnotationCache {
   ~AnnotationCache();
 
   /// nullptr if not cached. A hit refreshes the entry's LRU position.
-  std::shared_ptr<const CostAnnotation> Find(std::string_view signature) const;
+  std::shared_ptr<const CostAnnotation> Find(const Hash128& key) const;
 
-  void Put(std::string_view signature, CostAnnotation annotation);
+  void Put(const Hash128& key, CostAnnotation annotation);
 
   void Clear();
 
@@ -99,17 +105,10 @@ class AnnotationCache {
   }
 
  private:
-  struct TransparentHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
   struct Slot {
     std::shared_ptr<const CostAnnotation> annotation;
     /// Position in the shard's LRU list (front = most recently used).
-    std::list<const std::string*>::iterator lru_it;
+    std::list<const Hash128*>::iterator lru_it;
     int64_t bytes = 0;  ///< estimate charged to tracker_ while cached
   };
 
@@ -117,12 +116,11 @@ class AnnotationCache {
     mutable std::mutex mu;
     /// Keys live in the map nodes (stable addresses); the LRU list points
     /// back at them.
-    std::unordered_map<std::string, Slot, TransparentHash, std::equal_to<>>
-        map;
-    std::list<const std::string*> lru;
+    std::unordered_map<Hash128, Slot, Hash128Hasher> map;
+    std::list<const Hash128*> lru;
   };
 
-  Shard& ShardFor(std::string_view signature) const;
+  Shard& ShardFor(const Hash128& key) const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t capacity_ = kDefaultCapacity;  ///< total; 0 = unbounded

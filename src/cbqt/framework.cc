@@ -86,7 +86,7 @@ Result<CbqtResult> CbqtOptimizer::Optimize(
   const bool relaxed_reuse =
       cache_ptr != nullptr && cache_ptr == shared.annotations;
   // Cross-state join-order memo (subset-granularity DP reuse); same sharded
-  // store as the block annotations, different key space ("jo:" prefixed).
+  // store type as the block annotations, its own instance.
   AnnotationCache join_memo(AnnotationCache::kDefaultShards,
                             config_.join_memo_capacity, guards.memory);
   AnnotationCache* join_memo_ptr = nullptr;

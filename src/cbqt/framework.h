@@ -138,7 +138,7 @@ struct CbqtConfig {
   bool cow_clone = true;
 
   /// Cross-state join-order memoization: finished join-order DP subproblems
-  /// are keyed by canonical fingerprints of (relation set, dependencies,
+  /// are keyed by exact fingerprints of (relation set, dependencies,
   /// local predicates, applicable join predicates), so states whose blocks
   /// pose byte-identical FROM+predicate subproblems reuse the enumerated
   /// JoinStepPlans instead of re-running the DP. Bit-identical results;

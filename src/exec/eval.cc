@@ -238,11 +238,18 @@ Value CallScalarFn(ScalarFn fn, const Value* const* args, size_t n,
       return Value::Real(std::fabs(args[0]->NumericValue()));
     case ScalarFn::kMod: {
       if (args[0]->is_null() || args[1]->is_null()) return Value::Null();
-      int64_t b = static_cast<int64_t>(args[1]->NumericValue());
+      // The binder types mod INT on two integers and DOUBLE otherwise.
+      if (args[0]->kind() != ValueKind::kInt64 ||
+          args[1]->kind() != ValueKind::kInt64) {
+        double b = args[1]->NumericValue();
+        if (b == 0) return Value::Null();
+        return Value::Real(std::fmod(args[0]->NumericValue(), b));
+      }
+      int64_t b = args[1]->AsInt();
       if (b == 0) return Value::Null();
       // x % -1 is 0; computing it would trap on INT64_MIN.
       if (b == -1) return Value::Int(0);
-      return Value::Int(static_cast<int64_t>(args[0]->NumericValue()) % b);
+      return Value::Int(args[0]->AsInt() % b);
     }
     case ScalarFn::kFloor:
       if (args[0]->is_null()) return Value::Null();

@@ -767,6 +767,7 @@ class HashJoinOperator final : public Operator {
       lkey_slots_ = IdentitySlots(lkeys_.size());
       lkeys_computed_ = true;
     }
+    build_key_slots_ = IdentitySlots(rkeys_.size());
   }
 
   Status Open() override {
@@ -796,9 +797,9 @@ class HashJoinOperator final : public Operator {
       if (!more.value()) break;
       if (b.empty()) continue;
       CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(b.size())));
+      Row& key = build_key_;
       for (auto& row : b.rows()) {
         ++build_input_rows_;
-        Row key;
         bool has_null = false;
         CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, rkeys_, row,
                                            right_schema_, rkeys_need_frame_,
@@ -822,8 +823,7 @@ class HashJoinOperator final : public Operator {
           CBQT_RETURN_IF_ERROR(
               parts_[PartitionOfKey(key, 0)].build->Append(row));
         } else {
-          table_[std::move(key)].push_back(build_rows_.size());
-          build_rows_.push_back(std::move(row));
+          AddBuildRow(&table_, &build_rows_, std::move(row));
         }
       }
     }
@@ -874,6 +874,19 @@ class HashJoinOperator final : public Operator {
     SpillFile* probe = nullptr;
     int64_t probe_rows = 0;
   };
+
+  /// Appends build row `row`, whose key was just evaluated into build_key_,
+  /// to a (table, rows) build image. The key is looked up as a view over
+  /// the scratch row; a key Row is materialized only for a new key.
+  void AddBuildRow(RowMap* table, std::vector<Row>* brows, Row&& row) {
+    KeyView view{&build_key_, build_key_slots_.data(), build_key_slots_.size()};
+    auto it = table->find(view);
+    if (it == table->end()) {
+      it = table->emplace(build_key_, std::vector<size_t>{}).first;
+    }
+    it->second.push_back(brows->size());
+    brows->push_back(std::move(row));
+  }
 
   /// The probe key of `lrow`: a view over lrow's own slots when every
   /// probe key is a plain column ref, else over probe_key_ (a reused
@@ -1090,7 +1103,7 @@ class HashJoinOperator final : public Operator {
         if (((++seen) & kSpillPollMask) == 0) {
           CBQT_RETURN_IF_ERROR(ctx_->PollOnly());
         }
-        Row key;
+        Row& key = build_key_;
         CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, rkeys_, r,
                                            right_schema_, rkeys_need_frame_,
                                            &key, nullptr));
@@ -1104,8 +1117,7 @@ class HashJoinOperator final : public Operator {
             break;
           }
         }
-        table[std::move(key)].push_back(brows.size());
-        brows.push_back(std::move(r));
+        AddBuildRow(&table, &brows, std::move(r));
       }
       if (!fits) return ProcessPartitionChunked(p);
       // Probe this partition.
@@ -1149,7 +1161,7 @@ class HashJoinOperator final : public Operator {
           CBQT_RETURN_IF_ERROR(ctx_->PollOnly());
         }
         if (idx < start) continue;  // before this chunk
-        Row key;
+        Row& key = build_key_;
         CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, rkeys_, r,
                                            right_schema_, rkeys_need_frame_,
                                            &key, nullptr));
@@ -1164,8 +1176,7 @@ class HashJoinOperator final : public Operator {
             break;
           }
         }
-        table[std::move(key)].push_back(brows.size());
-        brows.push_back(std::move(r));
+        AddBuildRow(&table, &brows, std::move(r));
       }
       int64_t chunk_end = start + static_cast<int64_t>(brows.size());
       // Probe every partition row against this chunk.
@@ -1264,6 +1275,10 @@ class HashJoinOperator final : public Operator {
   std::vector<int> lkey_slots_;
   bool lkeys_computed_ = false;
   Row probe_key_;
+  // Build keys are evaluated into build_key_ (a reused scratch row) and
+  // looked up as a view over it (build_key_slots_ = 0..n-1).
+  Row build_key_;
+  std::vector<int> build_key_slots_;
 
   RowMap table_;
   std::vector<Row> build_rows_;

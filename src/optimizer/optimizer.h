@@ -40,7 +40,7 @@ struct PhysicalOptimizeOptions {
   /// once per Optimize call).
   FaultInjector* faults = nullptr;
   /// When non-null, cross-state join-order memoization: finished DP
-  /// subproblems (per subset of a block's FROM list) are keyed by canonical
+  /// subproblems (per subset of a block's FROM list) are keyed by exact
   /// fingerprints of the member relations and applicable predicates, so
   /// byte-identical join problems recurring across transformation states
   /// skip re-enumeration. Results are bit-identical with and without it.
@@ -49,8 +49,8 @@ struct PhysicalOptimizeOptions {
   /// guardrail fault sites), polled at the per-block budget quantum.
   QueryGuards guards;
   /// MQO batch sharing: accept annotation-cache hits from any member of the
-  /// signature's canonical equivalence class instead of requiring an exact
-  /// unparsing match. Row-identical results; plan text may follow the
+  /// canonical fingerprint's equivalence class instead of requiring the
+  /// exact fingerprint to match. Row-identical results; plan text may follow the
   /// cached member's free orderings. See Planner::relaxed_reuse_.
   bool relaxed_annotation_reuse = false;
 };

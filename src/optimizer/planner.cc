@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <map>
 #include <set>
 
 #include "common/hash.h"
 #include "common/str_util.h"
 #include "sql/expr_util.h"
-#include "sql/signature.h"
-#include "sql/unparser.h"
 
 namespace cbqt {
 
@@ -629,45 +626,46 @@ class BlockJoinCoster : public JoinCoster {
 
 namespace {
 
+constexpr uint64_t kMemoSeedHi = 0x9e3779b97f4a7c15ULL;
+
+/// The 128-bit identity of one relation or join predicate: two differently
+/// seeded hash chains over the same words.
+struct MemoHash {
+  Hash128 h{kFnvOffset, kMemoSeedHi};
+  void Add(uint64_t v) {
+    h.lo = HashCombine(h.lo, v);
+    h.hi = HashCombine(h.hi, v);
+  }
+  void AddName(const std::string& s) { Add(HashBytes(s, kFnvOffset)); }
+};
+
 // Keys one block's join-order DP subproblems so their results transfer
 // across transformation states. A subset mask is fingerprinted by its member
 // relations in FROM order — alias, content (table name or the derived
-// block's structural signature), join kind, laterality, ON conditions,
+// block's exact fingerprint), join kind, laterality, ON conditions,
 // single-relation filters (including the constant predicates attached to
 // relation 0), dependency aliases — plus every WHERE join predicate falling
-// entirely within the subset, in WHERE order. Everything the DP value of a
+// entirely within the subset, in WHERE order; expressions enter by their
+// exact fingerprints (sql/fingerprint.h). Everything the DP value of a
 // subset depends on is covered: selectivities resolve through the member
-// aliases only, derived-table stats are functions of the block signature,
-// and correlated references degrade to defaults deterministically.
+// aliases only, derived-table stats are functions of the block, and
+// correlated references degrade to defaults deterministically.
 //
-// Serialization keeps relative FROM / WHERE order (rather than sorting) so
-// the enumerator's tie-break order is identical whenever fingerprints
-// match — a hit returns exactly what this state's own DP would have built.
+// Combination keeps relative FROM / WHERE order (rather than sorting) so
+// the enumerator's tie-break order is identical whenever keys match — a hit
+// returns exactly what this state's own DP would have built. The exact
+// fingerprints, not the canonical ones: a key collision must imply the DP
+// would re-run with the same inputs in the same order (tie-break identity),
+// which canonicalized views would weaken. A key is trusted as 128 bits
+// without re-verification (DESIGN.md "Cross-state join-order memoization").
 class SubsetJoinMemo : public JoinOrderMemo {
  public:
-  SubsetJoinMemo(AnnotationCache* cache, std::vector<std::string> rel_fps,
-                 std::vector<std::pair<uint64_t, std::string>> pred_fps) {
-    cache_ = cache;
-    // Hash every fingerprint string once up front; per-mask keys are then
-    // order-dependent 128-bit combinations rendered as 32 hex chars. The
-    // enumerator probes the memo for every subset of every state, so key
-    // construction must not re-serialize the (view-signature-sized)
-    // fingerprint strings per probe.
-    rel_h_.reserve(rel_fps.size());
-    for (const std::string& fp : rel_fps) {
-      rel_h_.push_back({Fnv1a(fp), Fnv1a(fp, kSeedHi)});
-    }
-    pred_h_.reserve(pred_fps.size());
-    for (const auto& [pmask, fp] : pred_fps) {
-      pred_h_.push_back({pmask, {Fnv1a(fp), Fnv1a(fp, kSeedHi)}});
-    }
-  }
+  SubsetJoinMemo(AnnotationCache* cache, std::vector<Hash128> rel_h,
+                 std::vector<std::pair<uint64_t, Hash128>> pred_h)
+      : cache_(cache), rel_h_(std::move(rel_h)), pred_h_(std::move(pred_h)) {}
 
   Probe Lookup(uint64_t mask, double cutoff, JoinStepPlan* out) override {
-    char key[kKeyLen];
-    KeyFor(mask, key);
-    std::shared_ptr<const CostAnnotation> hit =
-        cache_->Find(std::string_view(key, kKeyLen));
+    std::shared_ptr<const CostAnnotation> hit = cache_->Find(KeyFor(mask));
     if (hit == nullptr) return Probe::kMiss;
     // The stored entry is the subset's cutoff-independent best (see
     // join_order.h): a best above the cutoff means the subset is pruned
@@ -686,28 +684,19 @@ class SubsetJoinMemo : public JoinOrderMemo {
     ann.cost = step.cost;
     ann.rows = step.rows;
     ann.plan = step.plan;
-    char key[kKeyLen];
-    KeyFor(mask, key);
-    cache_->Put(std::string_view(key, kKeyLen), std::move(ann));
+    cache_->Put(KeyFor(mask), std::move(ann));
   }
 
  private:
-  struct Hash128 {
-    uint64_t lo;
-    uint64_t hi;
-  };
-  static constexpr uint64_t kSeedHi = 0x9e3779b97f4a7c15ULL;
-  static constexpr size_t kKeyLen = 3 + 32;  // "jo:" + 2x16 hex chars
-
   static void Mix(Hash128* acc, const Hash128& v) {
-    // Order-dependent combine (serialization order carries the tie-break
+    // Order-dependent combine (combination order carries the tie-break
     // identity argument, so the key must not be commutative).
     acc->lo = FnvMix(acc->lo, v.lo) + (acc->lo << 7);
     acc->hi = (acc->hi ^ v.hi) * 0xc2b2ae3d27d4eb4fULL + (acc->hi >> 9);
   }
 
-  void KeyFor(uint64_t mask, char out[kKeyLen]) const {
-    Hash128 acc{kFnvOffset, kSeedHi};
+  Hash128 KeyFor(uint64_t mask) const {
+    Hash128 acc{kFnvOffset, kMemoSeedHi};
     for (size_t i = 0; i < rel_h_.size(); ++i) {
       if (mask & (1ULL << i)) Mix(&acc, rel_h_[i]);
     }
@@ -715,12 +704,7 @@ class SubsetJoinMemo : public JoinOrderMemo {
     for (const auto& [pmask, h] : pred_h_) {
       if ((pmask & ~mask) == 0) Mix(&acc, h);
     }
-    std::memcpy(out, "jo:", 3);
-    static const char* hex = "0123456789abcdef";
-    for (int i = 0; i < 16; ++i) {
-      out[3 + i] = hex[(acc.lo >> (60 - 4 * i)) & 0xf];
-      out[19 + i] = hex[(acc.hi >> (60 - 4 * i)) & 0xf];
-    }
+    return acc;
   }
 
   AnnotationCache* cache_;
@@ -744,21 +728,30 @@ Result<BlockPlan> Planner::PlanBlock(const QueryBlock& qb) {
   // Same quantum, harder stop: a tripped cancellation token fails the
   // query outright instead of degrading it.
   if (guards_.any()) CBQT_RETURN_IF_ERROR(guards_.Poll());
-  std::string sig;
-  std::string exact;
+  // Fingerprints are memoized per block for one top-level planning call:
+  // the tree is read-only until it returns.
+  if (depth_ == 0) fingerprints_ = Fingerprinter();
+  ++depth_;
+  Result<BlockPlan> result = PlanBlockCached(qb);
+  --depth_;
+  return result;
+}
+
+Result<BlockPlan> Planner::PlanBlockCached(const QueryBlock& qb) {
+  Fingerprint fp;
   if (cache_ != nullptr) {
-    sig = BlockSignature(qb);
-    exact = BlockToSql(qb);
-    std::shared_ptr<const CostAnnotation> hit = cache_->Find(sig);
-    // The canonical signature keys a whole equivalence class of blocks
+    fp = fingerprints_.OfBlock(qb);
+    std::shared_ptr<const CostAnnotation> hit = cache_->Find(BlockKey(fp));
+    // The canonical fingerprint keys a whole equivalence class of blocks
     // (conjunct order, commuted operands, inner FROM order). Default reuse
-    // additionally requires the exact unparsing to match, so a hit is
+    // additionally requires the exact fingerprint to match, so a hit is
     // guaranteed bit-identical to what planning this block would produce —
     // parallel state evaluation stays deterministic no matter which class
     // member reached the cache first. Relaxed reuse (MQO batch sharing)
     // accepts any class member: row-identical results, possibly different
     // plan text (tie-breaks followed the cached member's orderings).
-    if (hit != nullptr && (relaxed_reuse_ || hit->exact_sql == exact)) {
+    if (hit != nullptr &&
+        (relaxed_reuse_ || hit->exact_fingerprint == fp.exact)) {
       BlockPlan out;
       out.plan = hit->plan;
       out.out_stats = hit->out_stats;
@@ -775,8 +768,8 @@ Result<BlockPlan> Planner::PlanBlock(const QueryBlock& qb) {
     ann.rows = result->plan->est_rows;
     ann.out_stats = result->out_stats;
     ann.plan = result->plan;
-    ann.exact_sql = std::move(exact);
-    cache_->Put(sig, std::move(ann));
+    ann.exact_fingerprint = fp.exact;
+    cache_->Put(BlockKey(fp), std::move(ann));
   }
   return result;
 }
@@ -965,52 +958,45 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
   // ---- 3. Join order search. ----
   std::unique_ptr<SubsetJoinMemo> memo;
   if (join_memo_ != nullptr && qb.from.size() >= 2 && qb.from.size() <= 64) {
-    std::vector<std::string> rel_fps;
-    rel_fps.reserve(qb.from.size());
+    std::vector<Hash128> rel_h;
+    rel_h.reserve(qb.from.size());
     for (size_t i = 0; i < qb.from.size(); ++i) {
       const TableRef& tr = qb.from[i];
-      std::string fp = tr.alias;
-      fp += '=';
+      MemoHash h;
+      h.AddName(tr.alias);
       if (tr.IsBaseTable()) {
-        fp += "T:";
-        fp += tr.table_name;
+        h.Add(0);
+        h.AddName(tr.table_name);
       } else {
-        fp += "V:";
-        // Exact unparsing, not the canonical BlockSignature: the memo's
-        // contract is that a key collision implies the DP would re-run with
-        // the same inputs in the same order (tie-break identity), which
-        // canonicalized view signatures would weaken.
-        fp += BlockToSql(*tr.derived);
+        h.Add(1);
+        h.Add(fingerprints_.OfBlock(*tr.derived).exact);
       }
-      fp += ";k";
-      fp += std::to_string(static_cast<int>(tr.join));
-      if (tr.lateral) fp += ";lat";
+      h.Add(static_cast<uint64_t>(tr.join));
+      h.Add(tr.lateral ? 1 : 0);
+      h.Add(tr.join_conds.size());
       for (const auto& c : tr.join_conds) {
-        fp += ";on:";
-        fp += ExprToSql(*c);
+        h.Add(fingerprints_.OfExpr(*c).exact);
       }
+      h.Add(rels[i].filters.size());
       for (const Expr* f : rels[i].filters) {
-        fp += ";f:";
-        fp += ExprToSql(*f);
+        h.Add(fingerprints_.OfExpr(*f).exact);
       }
-      // Dependencies as alias names, so the fingerprint is independent of
-      // absolute FROM positions (masks are not transferable across blocks).
-      fp += ";d:";
+      // Dependencies as alias names, so the key is independent of absolute
+      // FROM positions (masks are not transferable across blocks).
       for (size_t j = 0; j < qb.from.size(); ++j) {
-        if (deps[i] & (1ULL << j)) {
-          fp += qb.from[j].alias;
-          fp += ',';
-        }
+        if (deps[i] & (1ULL << j)) h.AddName(qb.from[j].alias);
       }
-      rel_fps.push_back(std::move(fp));
+      rel_h.push_back(h.h);
     }
-    std::vector<std::pair<uint64_t, std::string>> pred_fps;
-    pred_fps.reserve(join_preds.size());
+    std::vector<std::pair<uint64_t, Hash128>> pred_h;
+    pred_h.reserve(join_preds.size());
     for (const auto& p : join_preds) {
-      pred_fps.emplace_back(p.mask, ExprToSql(*p.expr));
+      MemoHash h;
+      h.Add(fingerprints_.OfExpr(*p.expr).exact);
+      pred_h.emplace_back(p.mask, h.h);
     }
-    memo = std::make_unique<SubsetJoinMemo>(join_memo_, std::move(rel_fps),
-                                            std::move(pred_fps));
+    memo = std::make_unique<SubsetJoinMemo>(join_memo_, std::move(rel_h),
+                                            std::move(pred_h));
   }
   BlockJoinCoster coster(this, P, ctx, std::move(rels), join_preds,
                          alias_to_rel);

@@ -15,6 +15,7 @@
 #include "optimizer/cost_model.h"
 #include "optimizer/join_order.h"
 #include "optimizer/plan.h"
+#include "sql/fingerprint.h"
 #include "sql/query_block.h"
 #include "storage/database.h"
 
@@ -39,7 +40,9 @@ struct BlockPlan {
 /// here for costing. `cost_cutoff` implements §3.4.1; `cache` implements
 /// §3.4.2 (sub-tree cost-annotation reuse). Plans are immutable once built
 /// (see PlanPtr): a cache hit, a join-memo hit or a join input is shared
-/// into the new plan, never copied. `budget` is the
+/// into the new plan, never copied. Both caches are keyed by structural
+/// fingerprints (sql/fingerprint.h), each block hashed once per top-level
+/// PlanBlock call. `budget` is the
 /// optimization resource governor, polled once per planned block — when the
 /// deadline trips mid-plan the planner aborts with kBudgetExhausted and the
 /// caller degrades to its best-so-far answer.
@@ -60,7 +63,8 @@ class Planner {
         guards_(guards),
         relaxed_reuse_(relaxed_reuse) {}
 
-  /// Plans a bound query block (and, recursively, all nested blocks).
+  /// Plans a bound query block (and, recursively, all nested blocks). The
+  /// tree must not change until the call returns.
   Result<BlockPlan> PlanBlock(const QueryBlock& qb);
 
   /// Number of blocks fully optimized by this planner instance (annotation
@@ -68,6 +72,9 @@ class Planner {
   int64_t blocks_planned() const { return blocks_planned_; }
 
  private:
+  /// PlanBlock below the fingerprint-memo scope: annotation-cache lookup,
+  /// then planning and insertion on a miss.
+  Result<BlockPlan> PlanBlockCached(const QueryBlock& qb);
   Result<BlockPlan> PlanRegular(const QueryBlock& qb);
   Result<BlockPlan> PlanSetOp(const QueryBlock& qb);
 
@@ -91,18 +98,23 @@ class Planner {
   double cutoff_;
   BudgetTracker* budget_;
   /// Cross-state join-order memo: subset-granularity DP results keyed by
-  /// canonical relation/predicate fingerprints (see SubsetJoinMemo in
-  /// planner.cc). Shared by the CBQT framework across transformation states
+  /// 128-bit combinations of the member relations' and predicates' exact
+  /// fingerprints (see SubsetJoinMemo in planner.cc). Shared by the CBQT framework across transformation states
   /// alongside the block-level annotation cache.
   AnnotationCache* join_memo_;
   /// Runtime guardrails, polled at the same per-block quantum as the
   /// budget: a tripped CancellationToken aborts planning with kCancelled.
   QueryGuards guards_;
-  /// Accept annotation hits from any member of the signature's canonical
-  /// equivalence class (MQO cross-query sharing); default false requires an
-  /// exact unparsing match (bit-identical plan determinism).
+  /// Accept annotation hits from any member of the canonical fingerprint's
+  /// equivalence class (MQO cross-query sharing); default false also
+  /// requires the exact fingerprint to match (bit-identical plan
+  /// determinism).
   bool relaxed_reuse_;
   int64_t blocks_planned_ = 0;
+  /// Block fingerprints of the tree being planned, reset at the start of
+  /// each top-level PlanBlock call (depth_ == 0).
+  Fingerprinter fingerprints_;
+  int depth_ = 0;
 };
 
 }  // namespace cbqt

@@ -10,6 +10,7 @@ constexpr std::string_view kExpensivePrefix = "expensive_";
 constexpr ScalarFnInfo kScalarFns[] = {
     {ScalarFn::kNone, "", 0, 0, FnArgKind::kAny, DataType::kUnknown},
     {ScalarFn::kAbs, "abs", 1, 1, FnArgKind::kNumeric, DataType::kDouble},
+    // mod's result is INT on two INT arguments; the binder refines it.
     {ScalarFn::kMod, "mod", 2, 2, FnArgKind::kNumeric, DataType::kDouble},
     {ScalarFn::kFloor, "floor", 1, 1, FnArgKind::kNumeric, DataType::kDouble},
     {ScalarFn::kUpper, "upper", 1, 1, FnArgKind::kString, DataType::kString},

@@ -8,10 +8,12 @@
 
 namespace cbqt {
 
-/// Canonical structural signature of a query block, used as the key of the
-/// cost-annotation cache (paper §3.4.2) and of the MQO shared-work registry
-/// (cbqt/mqo.h): two blocks with equal signatures are semantically
-/// identical and may reuse each other's optimization results.
+/// Canonical structural signature of a query block: two blocks with equal
+/// signatures are semantically identical and may reuse each other's
+/// optimization results. The cost-annotation cache (paper §3.4.2) and MQO
+/// sharing key blocks by the canonical fingerprint (sql/fingerprint.h),
+/// which partitions blocks exactly like this text without building it; the
+/// text serves the fuzz harness, shared-scan keys and tests.
 ///
 /// Unlike the raw unparsing (BlockToSql), the signature canonicalizes the
 /// orderings SQL leaves free, so semantically identical blocks written

@@ -9,16 +9,19 @@
 namespace cbqt {
 namespace {
 
+/// A test key: the name's hash in the low word.
+Hash128 Key(std::string_view name) { return {Fnv1a(name), 0}; }
+
 TEST(AnnotationCache, PutFindHitMissCounters) {
   AnnotationCache cache;
-  EXPECT_EQ(cache.Find("sig-a"), nullptr);
+  EXPECT_EQ(cache.Find(Key("sig-a")), nullptr);
   EXPECT_EQ(cache.misses(), 1);
   CostAnnotation ann;
   ann.cost = 12;
   ann.rows = 3;
   ann.plan = std::make_unique<PlanNode>(PlanOp::kTableScan);
-  cache.Put("sig-a", std::move(ann));
-  std::shared_ptr<const CostAnnotation> hit = cache.Find("sig-a");
+  cache.Put(Key("sig-a"), std::move(ann));
+  std::shared_ptr<const CostAnnotation> hit = cache.Find(Key("sig-a"));
   ASSERT_NE(hit, nullptr);
   EXPECT_DOUBLE_EQ(hit->cost, 12);
   EXPECT_EQ(cache.hits(), 1);
@@ -36,20 +39,20 @@ TEST(AnnotationCache, LruEvictionBeyondCapacity) {
     CostAnnotation ann;
     ann.cost = cost;
     ann.plan = std::make_unique<PlanNode>(PlanOp::kTableScan);
-    cache.Put(sig, std::move(ann));
+    cache.Put(Key(sig), std::move(ann));
   };
   put("sig-a", 1);
   put("sig-b", 2);
   // Touch A: B becomes the eviction victim when C arrives.
-  ASSERT_NE(cache.Find("sig-a"), nullptr);
+  ASSERT_NE(cache.Find(Key("sig-a")), nullptr);
   put("sig-c", 3);
   EXPECT_EQ(cache.evictions(), 1);
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_NE(cache.Find("sig-a"), nullptr);
-  EXPECT_EQ(cache.Find("sig-b"), nullptr);
-  EXPECT_NE(cache.Find("sig-c"), nullptr);
+  EXPECT_NE(cache.Find(Key("sig-a")), nullptr);
+  EXPECT_EQ(cache.Find(Key("sig-b")), nullptr);
+  EXPECT_NE(cache.Find(Key("sig-c")), nullptr);
   // An entry handed out before eviction stays valid afterwards.
-  auto held = cache.Find("sig-c");
+  auto held = cache.Find(Key("sig-c"));
   put("sig-d", 4);
   put("sig-e", 5);
   ASSERT_NE(held, nullptr);
@@ -61,26 +64,29 @@ TEST(AnnotationCache, ZeroCapacityIsUnbounded) {
   for (int i = 0; i < 100; ++i) {
     CostAnnotation ann;
     ann.plan = std::make_unique<PlanNode>(PlanOp::kTableScan);
-    cache.Put("sig-" + std::to_string(i), std::move(ann));
+    cache.Put(Key("sig-" + std::to_string(i)), std::move(ann));
   }
   EXPECT_EQ(cache.size(), 100u);
   EXPECT_EQ(cache.evictions(), 0);
 }
 
-TEST(AnnotationCache, HeterogeneousStringViewLookup) {
+TEST(AnnotationCache, KeysCompareAllBits) {
   AnnotationCache cache;
-  CostAnnotation ann;
-  ann.cost = 7;
-  ann.plan = std::make_unique<PlanNode>(PlanOp::kTableScan);
-  // Probe with a view into a larger buffer: no std::string is materialized
-  // on the lookup path.
-  std::string buffer = "prefix|sig-view|suffix";
-  std::string_view sig = std::string_view(buffer).substr(7, 8);
-  ASSERT_EQ(sig, "sig-view");
-  cache.Put(sig, std::move(ann));
-  auto hit = cache.Find(std::string_view(buffer).substr(7, 8));
-  ASSERT_NE(hit, nullptr);
-  EXPECT_DOUBLE_EQ(hit->cost, 7);
+  auto put = [&cache](Hash128 key, double cost) {
+    CostAnnotation ann;
+    ann.cost = cost;
+    ann.plan = std::make_unique<PlanNode>(PlanOp::kTableScan);
+    cache.Put(key, std::move(ann));
+  };
+  // Keys sharing one word are still distinct entries.
+  put({7, 1}, 1);
+  put({7, 2}, 2);
+  put({8, 1}, 3);
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_DOUBLE_EQ(cache.Find({7, 1})->cost, 1);
+  EXPECT_DOUBLE_EQ(cache.Find({7, 2})->cost, 2);
+  EXPECT_DOUBLE_EQ(cache.Find({8, 1})->cost, 3);
+  EXPECT_EQ(cache.Find({8, 2}), nullptr);
 }
 
 class AnnotationReuseTest : public ::testing::Test {
@@ -135,7 +141,7 @@ TEST_F(AnnotationReuseTest, CachedPlanIsSharedNotCopied) {
   auto r1 = p.PlanBlock(*qb);
   ASSERT_TRUE(r1.ok());
   std::shared_ptr<const CostAnnotation> stored =
-      cache.Find(BlockSignature(*qb));
+      cache.Find(BlockKey(BlockFingerprint(*qb)));
   ASSERT_NE(stored, nullptr);
   // The miss publishes the plan it returns, and a hit hands back that very
   // tree: sharing, not a copy per hit.

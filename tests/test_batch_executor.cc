@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "common/memory_tracker.h"
 #include "common/result_compare.h"
 #include "exec/reference.h"
+#include "sql/expr_util.h"
 #include "tests/test_util.h"
 #include "workload/runner.h"
 
@@ -200,15 +202,31 @@ TEST_F(BatchExecutorTest, InPlaceKernelsMatchOracleAcrossBatchSizes) {
   }
 }
 
-// A scalar function that meets a value of the wrong kind at runtime (the
-// CASE is typed VARCHAR by its first branch but yields an INT) fails the
-// query with a typed error instead of throwing.
+// A scalar function that meets a value of the wrong kind at runtime fails
+// the query with a typed error instead of throwing. The binder now rejects
+// every SQL spelling of that (test_binder), so the plan is edited by hand:
+// upper()'s VARCHAR argument is swapped for an INT column.
 TEST_F(BatchExecutorTest, ScalarFunctionKindErrorIsTyped) {
-  const char* sql =
-      "SELECT e.emp_id FROM employees e WHERE upper(CASE WHEN e.emp_id < 0 "
-      "THEN 'x' ELSE e.emp_id END) = 'X'";
-  auto plan = Plan(sql);
-  ASSERT_NE(plan, nullptr);
+  auto shared = Plan(
+      "SELECT e.emp_id FROM employees e WHERE upper(e.employee_name) = 'X'");
+  ASSERT_NE(shared, nullptr);
+  PlanPtr plan = ClonePlan(*shared);
+  int swapped = 0;
+  std::function<void(const PlanPtr&)> edit = [&](const PlanPtr& node) {
+    for (auto& f : MutablePlan(node)->filter) {
+      VisitExpr(f.get(), [&](Expr* x) {
+        if (x->kind == ExprKind::kFuncCall &&
+            x->scalar_fn == ScalarFn::kUpper) {
+          x->children[0]->column_name = "emp_id";
+          x->children[0]->type = DataType::kInt64;
+          ++swapped;
+        }
+      });
+    }
+    for (const auto& c : node->children) edit(c);
+  };
+  edit(plan);
+  ASSERT_EQ(swapped, 1) << PlanToString(*plan);
   auto result = Run(*plan, ExecOptions{});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
@@ -282,6 +300,76 @@ TEST_F(BatchExecutorTest, SpillMatchesOracleAcrossBatchSizes) {
           << result.status().ToString() << "\nbatch=" << batch << "\n" << sql;
       ExpectSameRows(std::move(result.value().rows), expected,
                      std::string(sql) + " batch=" + std::to_string(batch));
+    }
+  }
+}
+
+// Hash joins whose build side repeats every key many times (dept_id joins:
+// ~40 build rows per key), on a plain and on a computed key. Build keys are
+// looked up in the hash table as views over one scratch row; the bytes
+// charged to the memory tracker and the spill traffic must stay exactly
+// what materializing a key row per build row charged. The pinned figures
+// were taken from that earlier build (tracker peak with no budget; spill
+// bytes written/read under the tiny budget), per batch size {1, 3, 1024}.
+struct DuplicateKeyJoin {
+  const char* sql;
+  int64_t peak_bytes[3];
+  int64_t spill_written[3];
+  int64_t spill_read[3];
+};
+const DuplicateKeyJoin kDuplicateKeyJoins[] = {
+    {"SELECT e.emp_id, j.job_title FROM employees e, job_history j WHERE "
+     "e.dept_id = j.dept_id AND e.salary > 90000",
+     {57456, 57456, 57456},
+     {28618, 28618, 28618},
+     {79743, 79743, 79743}},
+    {"SELECT e.emp_id, j.emp_id FROM employees e, job_history j WHERE "
+     "e.dept_id + 1 = j.dept_id + 1 AND e.salary > 90000",
+     {57456, 57456, 57456},
+     {26218, 26218, 26218},
+     {58928, 58928, 58928}},
+};
+
+TEST_F(BatchExecutorTest, DuplicateBuildKeysChargeAndSpillAsBefore) {
+  const size_t kBatches[] = {1, 3, 1024};
+  for (const DuplicateKeyJoin& q : kDuplicateKeyJoins) {
+    auto plan = Plan(q.sql);
+    ASSERT_NE(plan, nullptr) << q.sql;
+    ASSERT_GT(CountNodes(*plan, PlanOp::kHashJoin), 0)
+        << q.sql << "\n" << PlanToString(*plan);
+    std::vector<Row> expected = Oracle(q.sql);
+    EXPECT_FALSE(expected.empty()) << q.sql;
+    for (int b = 0; b < 3; ++b) {
+      const std::string label =
+          std::string(q.sql) + " batch=" + std::to_string(kBatches[b]);
+      {
+        MemoryTracker tracker("query", int64_t{1} << 40);
+        ExecOptions opts;
+        opts.guards.memory = &tracker;
+        opts.batch_size = kBatches[b];
+        auto result = Run(*plan, std::move(opts));
+        ASSERT_TRUE(result.ok()) << result.status().ToString() << "\n"
+                                 << label;
+        EXPECT_EQ(result.value().stats.spilled_operators, 0) << label;
+        EXPECT_EQ(tracker.peak_bytes(), q.peak_bytes[b]) << label;
+        ExpectSameRows(std::move(result.value().rows), expected, label);
+      }
+      {
+        MemoryTracker tracker("query", kTinyBudgetBytes);
+        ExecOptions opts;
+        opts.guards.memory = &tracker;
+        opts.batch_size = kBatches[b];
+        auto result = Run(*plan, std::move(opts));
+        ASSERT_TRUE(result.ok()) << result.status().ToString() << "\n"
+                                 << label;
+        EXPECT_GE(result.value().stats.spilled_operators, 1) << label;
+        EXPECT_EQ(result.value().stats.spill.bytes_written,
+                  q.spill_written[b])
+            << label;
+        EXPECT_EQ(result.value().stats.spill.bytes_read, q.spill_read[b])
+            << label;
+        ExpectSameRows(std::move(result.value().rows), expected, label);
+      }
     }
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "parser/parser.h"
 #include "tests/test_util.h"
 
@@ -209,6 +211,10 @@ TEST_F(BinderTest, ScalarFunctionCallsValidated) {
       "SELECT foo(e.salary) FROM employees e",
       "SELECT e.emp_id FROM employees e WHERE foo(e.salary) = 1",
       "SELECT expensive_filter(e.emp_id, 2, 3) FROM employees e",
+      // A CASE is typed by all of its results, so this is VARCHAR mixed
+      // with INT (it used to bind as VARCHAR and fail only at execution).
+      "SELECT e.emp_id FROM employees e WHERE upper(CASE WHEN e.emp_id < 0 "
+      "THEN 'x' ELSE e.emp_id END) = 'X'",
   };
   for (const char* sql : bad) {
     EXPECT_EQ(BindStatus(*db_, sql).code(), StatusCode::kBindError) << sql;
@@ -223,6 +229,37 @@ TEST_F(BinderTest, ScalarFunctionCallsValidated) {
   EXPECT_EQ(qb->select[3].expr->type, DataType::kString);
   EXPECT_EQ(qb->select[4].expr->type, DataType::kString);
   EXPECT_EQ(qb->select[5].expr->type, DataType::kDouble);
+}
+
+TEST_F(BinderTest, CaseAndModResultTypes) {
+  auto qb = ParseAndBind(
+      *db_,
+      "SELECT CASE WHEN e.emp_id < 0 THEN 1 ELSE e.salary END, "
+      "CASE WHEN e.emp_id < 0 THEN NULL WHEN e.emp_id < 5 THEN 2 END, "
+      "CASE WHEN e.emp_id < 0 THEN NULL ELSE e.employee_name END, "
+      "CASE WHEN e.emp_id < 0 THEN e.salary END, "
+      "mod(e.emp_id, 3), mod(e.salary, 3), mod(e.emp_id, 2.5), "
+      "mod(NULL, 3), abs(e.emp_id) "
+      "FROM employees e");
+  ASSERT_NE(qb, nullptr);
+  const DataType want[] = {
+      DataType::kDouble,  DataType::kInt64,  DataType::kString,
+      DataType::kDouble,  DataType::kInt64,  DataType::kDouble,
+      DataType::kDouble,  DataType::kDouble, DataType::kDouble,
+  };
+  ASSERT_EQ(qb->select.size(), std::size(want));
+  for (size_t i = 0; i < std::size(want); ++i) {
+    EXPECT_EQ(qb->select[i].expr->type, want[i]) << i;
+  }
+  const char* bad[] = {
+      "SELECT CASE WHEN e.emp_id < 0 THEN 'x' WHEN e.emp_id < 9 THEN 1.5 "
+      "END FROM employees e",
+      "SELECT CASE WHEN e.emp_id < 0 THEN NULL WHEN e.emp_id < 9 THEN 1 "
+      "ELSE 'y' END FROM employees e",
+  };
+  for (const char* sql : bad) {
+    EXPECT_EQ(BindStatus(*db_, sql).code(), StatusCode::kBindError) << sql;
+  }
 }
 
 TEST_F(BinderTest, NonBooleanPredicatesRejected) {

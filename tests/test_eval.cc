@@ -193,6 +193,12 @@ TEST(Eval, ScalarFunctions) {
   EXPECT_EQ(ToTri(EvalConst("upper('ab') = 'AB'").value()), Tri::kT);
   EXPECT_EQ(ToTri(EvalConst("lower('AB') = 'ab'").value()), Tri::kT);
   EXPECT_EQ(ToTri(EvalConst("mod(7, 0) = 1").value()), Tri::kU);
+  // mod keeps integers integral and takes a fractional remainder otherwise,
+  // matching the INT / DOUBLE type the binder gives it.
+  EXPECT_EQ(EvalConst("mod(7, 3)").value().kind(), ValueKind::kInt64);
+  EXPECT_EQ(ToTri(EvalConst("mod(7.5, 2) = 1.5").value()), Tri::kT);
+  EXPECT_EQ(EvalConst("mod(7.5, 2)").value().kind(), ValueKind::kDouble);
+  EXPECT_EQ(ToTri(EvalConst("mod(7.5, 0) = 1").value()), Tri::kU);
 }
 
 TEST(Eval, UnknownFunctionIsError) {

@@ -300,7 +300,8 @@ TEST(AnnotationCacheConcurrency, ParallelPutFindClearStress) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
-        std::string key = "sig-" + std::to_string((i * 7 + t) % kKeySpace);
+        Hash128 key{Fnv1a("sig-" + std::to_string((i * 7 + t) % kKeySpace)),
+                    0};
         if (i % 3 == 0) {
           cache.Put(key, MakeAnnotation(static_cast<double>(i % 97)));
         } else {
@@ -327,13 +328,13 @@ TEST(AnnotationCacheConcurrency, HitsAndMissesAreCounted) {
   AnnotationCache cache;
   const int kThreads = 4;
   const int kOps = 500;
-  cache.Put("shared", MakeAnnotation(1));
+  cache.Put({1, 0}, MakeAnnotation(1));
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&] {
       for (int i = 0; i < kOps; ++i) {
-        ASSERT_NE(cache.Find("shared"), nullptr);
-        ASSERT_EQ(cache.Find("absent"), nullptr);
+        ASSERT_NE(cache.Find({1, 0}), nullptr);
+        ASSERT_EQ(cache.Find({2, 0}), nullptr);
       }
     });
   }

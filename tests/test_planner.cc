@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "optimizer/plan_serde.h"
-#include "sql/signature.h"
 #include "tests/test_util.h"
 
 namespace cbqt {
@@ -212,7 +211,7 @@ TEST_F(PlannerTest, OrderByHiddenColumnLeavesSharedSubplansUntouched) {
   ASSERT_TRUE(a_plan.ok()) << a_plan.status().ToString();
   ASSERT_EQ(a_plan->plan->op, PlanOp::kProject);
   PlanPtr join = a_plan->plan->children[0];
-  auto view = cache.Find(BlockSignature(*a->from[1].derived));
+  auto view = cache.Find(BlockKey(BlockFingerprint(*a->from[1].derived)));
   ASSERT_NE(view, nullptr);
   const std::string a_bytes = SerializePlan(*a_plan->plan);
   const std::string join_bytes = SerializePlan(*join);
@@ -240,7 +239,7 @@ TEST_F(PlannerTest, OrderByHiddenColumnLeavesSharedSubplansUntouched) {
   auto cold_view = cold_planner.PlanBlock(*a->from[1].derived);
   ASSERT_TRUE(cold_view.ok());
   EXPECT_EQ(view_bytes, SerializePlan(*cold_view->plan));
-  EXPECT_EQ(SerializePlan(*cache.Find(BlockSignature(*a))->plan), a_bytes);
+  EXPECT_EQ(SerializePlan(*cache.Find(BlockKey(BlockFingerprint(*a)))->plan), a_bytes);
   auto cold = Plan(b_sql);
   ASSERT_NE(cold, nullptr);
   EXPECT_EQ(SerializePlan(*b_plan->plan), SerializePlan(*cold));
