@@ -59,9 +59,11 @@ CbqtConfig GuardrailsOnConfig() {
   CbqtConfig cfg;
   cfg.guardrails.engine_memory_bytes = int64_t{1} << 30;  // generous: 1 GiB
   cfg.guardrails.query_memory_bytes = int64_t{256} << 20;
-  cfg.guardrails.admission.max_concurrent = 8;
-  cfg.guardrails.admission.max_queued = 8;
-  cfg.guardrails.admission.queue_timeout_ms = 1000;
+  cfg.guardrails.scheduler.enabled = true;
+  cfg.guardrails.scheduler.max_concurrent = 8;
+  cfg.guardrails.scheduler.queue_timeout_ms = 1000;
+  cfg.guardrails.scheduler.default_tenant.max_queued = 8;
+  cfg.guardrails.scheduler.default_tenant.priority = 0;
   return cfg;
 }
 
@@ -80,7 +82,7 @@ bool MeasureOverheadMs(const Database& db, int reps, double* off_ms,
   auto one = [&](QueryEngine& engine, CancellationToken* token,
                  double* best) -> bool {
     double t0 = NowMs();
-    auto r = engine.Run(kQuery, token);
+    auto r = engine.Run(kQuery, {.cancel = token});
     double t1 = NowMs();
     if (!r.ok()) {
       std::fprintf(stderr, "run failed: %s\n", r.status().ToString().c_str());
@@ -154,7 +156,6 @@ struct SweepResult {
   int failed = 0;
   int cancelled = 0;
   int resource_exhausted = 0;
-  int admission_rejected = 0;
   bool reconciled = false;
 };
 
@@ -191,7 +192,6 @@ SweepResult RunFaultSweep(const Database& db,
   r.failed = report.failed;
   r.cancelled = report.cancelled;
   r.resource_exhausted = report.resource_exhausted;
-  r.admission_rejected = report.admission_rejected;
   // Process-level completion: every query accounted for, every success
   // measured. Untyped failures are expected here — injected kInternal
   // faults are exactly the per-query failures isolation must contain.

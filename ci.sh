@@ -21,9 +21,9 @@
 #   $ ./ci.sh asan         # just the address/UB-sanitizer config
 #   $ ./ci.sh bench-smoke  # quick Release run of the perf benches
 #   $ ./ci.sh fuzz-smoke   # time-boxed metamorphic differential fuzz leg
-#   $ ./ci.sh perf-smoke   # short runs of the repository benchmark's compile
-#                          #   and analytic workloads with their correctness
-#                          #   checks
+#   $ ./ci.sh perf-smoke   # short runs of the repository benchmark's compile,
+#                          #   analytic and serving workloads with their
+#                          #   correctness checks
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -159,6 +159,11 @@ if [[ "${want}" == "all" || "${want}" == "perf-smoke" ]]; then
   # change that alters rows fails here.
   echo "=== [perf-smoke] perfbench analytic (5s, seed 1) ==="
   python3 perfbench/run.py --workload analytic --seed 1 --seconds 5 --trace 0
+  # The serving workload is the only one through the tenant scheduler, plan
+  # cache hits and MQO batches; its row-digest checks fail the leg on wrong
+  # rows.
+  echo "=== [perf-smoke] perfbench serving (5s, seed 1) ==="
+  python3 perfbench/run.py --workload serving --seed 1 --seconds 5 --trace 0
 fi
 
 if [[ "${want}" == "all" || "${want}" == "asan" ]]; then

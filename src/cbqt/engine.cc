@@ -91,15 +91,8 @@ QueryEngine::QueryEngine(const Database& db, CbqtConfig config,
         });
   }
   if (gr.scheduler.enabled_and_valid()) {
-    scheduler_ = std::make_unique<TenantScheduler>(gr.scheduler,
-                                                   /*legacy_mode=*/false,
-                                                   root_memory_.get());
-  } else if (gr.admission.enabled()) {
-    // The historical single-queue admission runs as a one-tenant scheduler
-    // in legacy mode: same statuses (kAdmissionRejected), same counters.
-    scheduler_ = std::make_unique<TenantScheduler>(
-        TenantScheduler::FromLegacy(gr.admission), /*legacy_mode=*/true,
-        root_memory_.get());
+    scheduler_ =
+        std::make_unique<TenantScheduler>(gr.scheduler, root_memory_.get());
   }
   if (config_.mqo.enabled) {
     mqo_ = std::make_unique<MqoRegistry>(config_.mqo, root_memory_.get());
@@ -185,35 +178,13 @@ void QueryEngine::WaitForUpgrades() const {
 GuardrailStats QueryEngine::guardrail_stats() const {
   GuardrailStats out;
   out.admitted = admitted_.load(std::memory_order_relaxed);
-  if (scheduler_ != nullptr) {
-    SchedulerStats ss = scheduler_->stats();
-    out.queued = ss.queued;
-    out.admission_rejected = ss.rejected;
-    out.tenant_throttled = ss.throttled;
-    out.tenant_shed = ss.shed;
-    out.budget_shrunk = ss.budget_shrunk;
-    out.aging_promotions = ss.aging_promotions;
-  }
   out.cancelled = cancelled_.load(std::memory_order_relaxed);
   out.resource_exhausted =
       resource_exhausted_.load(std::memory_order_relaxed);
   out.memory_victims = memory_victims_.load(std::memory_order_relaxed);
-  if (plan_cache_ != nullptr) {
-    out.cache_shed_bytes = plan_cache_->stats().shed_bytes;
-  }
   if (root_memory_ != nullptr) {
     out.engine_used_bytes = root_memory_->used_bytes();
     out.engine_peak_bytes = root_memory_->peak_bytes();
-  }
-  if (mqo_ != nullptr) {
-    MqoStats mqo = mqo_->stats();
-    out.mqo_batches = mqo.batches_formed;
-    out.mqo_shared_subplan_hits = mqo.shared_subplan_hits;
-    out.mqo_scan_streams = mqo.scan_streams + mqo.materialize_streams;
-    out.mqo_scan_consumers = mqo.scan_consumers;
-    out.mqo_rows_shared = mqo.rows_shared;
-    out.mqo_bytes_saved = mqo.bytes_saved;
-    out.mqo_pressure_fallbacks = mqo.pressure_fallbacks;
   }
   return out;
 }
@@ -606,27 +577,6 @@ Result<QueryResult> QueryEngine::ExecuteAdmitted(PreparedQuery prepared,
     out.peak_memory_bytes = guards.memory->peak_bytes();
   }
   return out;
-}
-
-Result<PreparedQuery> QueryEngine::Prepare(const std::string& sql,
-                                           CancellationToken* cancel) const {
-  QueryOptions opts;
-  opts.cancel = cancel;
-  return Prepare(sql, opts);
-}
-
-Result<QueryResult> QueryEngine::Execute(PreparedQuery prepared,
-                                         CancellationToken* cancel) const {
-  QueryOptions opts;
-  opts.cancel = cancel;
-  return Execute(std::move(prepared), opts);
-}
-
-Result<QueryResult> QueryEngine::Run(const std::string& sql,
-                                     CancellationToken* cancel) const {
-  QueryOptions opts;
-  opts.cancel = cancel;
-  return Run(sql, opts);
 }
 
 Result<PreparedQuery> QueryEngine::Prepare(const std::string& sql,

@@ -61,37 +61,20 @@ struct QueryResult {
   ExecStats exec;
 };
 
-/// Telemetry of the engine runtime guardrails (all zero when disabled).
+/// Telemetry the engine counts itself (the byte gauges stay zero without a
+/// memory budget). Queueing and throttling live in scheduler_stats(),
+/// plan-cache shedding in plan_cache_stats(), batch sharing in mqo_stats().
 struct GuardrailStats {
   int64_t admitted = 0;            ///< engine operations admitted
-  int64_t queued = 0;              ///< admissions that waited for a slot
-  int64_t admission_rejected = 0;  ///< typed kAdmissionRejected turn-aways
   int64_t cancelled = 0;           ///< operations that unwound kCancelled
   int64_t resource_exhausted = 0;  ///< operations failing kResourceExhausted
   int64_t memory_victims = 0;      ///< queries failed by the victim callback
-  int64_t cache_shed_bytes = 0;    ///< plan-cache bytes freed under pressure
   int64_t engine_used_bytes = 0;   ///< root tracker charge right now
   int64_t engine_peak_bytes = 0;   ///< root tracker high-water mark
-
-  // Tenant-aware scheduling (all zero unless GuardrailConfig::scheduler is
-  // enabled; see scheduler_stats() for the per-tenant breakdown).
-  int64_t tenant_throttled = 0;   ///< typed kTenantThrottled turn-aways
-  int64_t tenant_shed = 0;        ///< queued waiters shed by higher priority
-  int64_t budget_shrunk = 0;      ///< admissions with a shrunk optimizer budget
-  int64_t aging_promotions = 0;   ///< starved waiters promoted to top class
-
-  // Multi-query optimization (all zero when CbqtConfig::mqo is off).
-  int64_t mqo_batches = 0;               ///< optimization batches formed
-  int64_t mqo_shared_subplan_hits = 0;   ///< batch-shared annotation hits
-  int64_t mqo_scan_streams = 0;          ///< shared scan + materialize streams
-  int64_t mqo_scan_consumers = 0;        ///< consumer attachments to streams
-  int64_t mqo_rows_shared = 0;           ///< rows served from shared buffers
-  int64_t mqo_bytes_saved = 0;           ///< estimated bytes of those rows
-  int64_t mqo_pressure_fallbacks = 0;    ///< streams degraded under memory
 };
 
 /// Per-call options for the engine entry points. The default-constructed
-/// value reproduces the historical behavior (no tenant, no token).
+/// value runs as the default tenant without a caller token.
 struct QueryOptions {
   /// Scheduler tenant this query runs as; "" (or an unknown name) maps to
   /// the default tenant. Ignored unless GuardrailConfig::scheduler is
@@ -121,9 +104,10 @@ struct QueryOptions {
 /// are re-optimized with an enlarged budget once hot (budget upgrade).
 ///
 /// Runtime guardrails (CbqtConfig::guardrails, all off by default): every
-/// engine operation is admitted through a bounded queue (overload is turned
-/// away with a fast typed kAdmissionRejected), registered with a
-/// cancellation token (Cancel(query_id), or a caller-supplied token), and —
+/// engine operation is admitted through the tenant scheduler's bounded
+/// queues (overload is turned away with a fast typed kTenantThrottled),
+/// registered with a cancellation token (Cancel(query_id), or the
+/// QueryOptions token), and —
 /// when byte budgets are configured — charged against a per-query child of
 /// the engine memory tracker. Per-query budget overruns fail that query
 /// with kResourceExhausted; engine-budget pressure first sheds plan-cache
@@ -141,35 +125,26 @@ class QueryEngine {
 
   /// Parses, transforms, and plans `sql` without executing it.
   ///
-  /// `cancel` (optional, caller-owned, must outlive the call): cooperative
-  /// cancellation token. Tripping it — from any thread, or via
-  /// Cancel(query_id) — makes the operation unwind with the token's status
-  /// within one polling quantum (per transformation state in the search,
-  /// per block in the planner, per row in the executor). A token already
-  /// tripped at entry fails fast without doing any work.
+  /// `opts.tenant` picks whose admission queue, slot share, and byte quota
+  /// the query runs under (only meaningful with GuardrailConfig::scheduler
+  /// enabled). `opts.cancel` (optional, caller-owned, must outlive the
+  /// call): cooperative cancellation token. Tripping it — from any thread,
+  /// or via Cancel(query_id) — makes the operation unwind with the token's
+  /// status within one polling quantum (per transformation state in the
+  /// search, per block in the planner, per row in the executor). A token
+  /// already tripped at entry fails fast without doing any work.
   Result<PreparedQuery> Prepare(const std::string& sql,
-                                CancellationToken* cancel = nullptr) const;
+                                const QueryOptions& opts = {}) const;
 
   /// Executes a previously prepared query (consumes it; the prepared query
   /// is returned inside the result for plan/stats inspection).
   Result<QueryResult> Execute(PreparedQuery prepared,
-                              CancellationToken* cancel = nullptr) const;
+                              const QueryOptions& opts = {}) const;
 
   /// Prepare + Execute in one call, under a single admission slot and one
   /// per-query memory tracker covering both phases.
   Result<QueryResult> Run(const std::string& sql,
-                          CancellationToken* cancel = nullptr) const;
-
-  /// Tenant-aware variants: the QueryOptions tenant picks whose admission
-  /// queue, slot share, and byte quota the query runs under (only
-  /// meaningful with GuardrailConfig::scheduler enabled — otherwise these
-  /// behave exactly like the token-only overloads).
-  Result<PreparedQuery> Prepare(const std::string& sql,
-                                const QueryOptions& opts) const;
-  Result<QueryResult> Execute(PreparedQuery prepared,
-                              const QueryOptions& opts) const;
-  Result<QueryResult> Run(const std::string& sql,
-                          const QueryOptions& opts) const;
+                          const QueryOptions& opts = {}) const;
 
   /// Trips the cancellation token of the in-flight engine operation
   /// `query_id` (see ActiveQueryIds). Returns true when this call tripped
@@ -183,14 +158,9 @@ class QueryEngine {
   const Database& db() const { return db_; }
   const CbqtConfig& config() const { return config_; }
 
-  bool guardrails_enabled() const { return config_.guardrails.enabled(); }
-  /// Snapshot of the guardrail telemetry (admission, cancels, memory).
+  /// Snapshot of the guardrail telemetry (admissions, cancels, memory).
   GuardrailStats guardrail_stats() const;
 
-  /// True when admission runs through the tenant scheduler (either the
-  /// tenant-aware SchedulerConfig or the legacy AdmissionConfig, which is
-  /// internally run as a one-tenant scheduler).
-  bool scheduler_enabled() const { return scheduler_ != nullptr; }
   /// Per-tenant scheduling telemetry; empty when no scheduler is running.
   SchedulerStats scheduler_stats() const;
 
@@ -234,10 +204,9 @@ class QueryEngine {
 
   /// Admission control + registration: routes through the tenant scheduler
   /// (which blocks in the tenant's bounded queue, applies the overload
-  /// ladder, and fails typed — kAdmissionRejected in legacy mode,
-  /// kTenantThrottled in tenant mode, the token's status when `cancel`
-  /// trips). On success returns the registered query id; the caller must
-  /// pair it with EndQuery.
+  /// ladder, and fails typed — kTenantThrottled, or the token's status
+  /// when `cancel` trips). On success returns the registered query id; the
+  /// caller must pair it with EndQuery.
   Result<uint64_t> Admit(CancellationToken* cancel,
                          const std::string& tenant) const;
 
@@ -299,10 +268,8 @@ class QueryEngine {
   /// promptly instead of finishing a long re-optimization during teardown.
   std::shared_ptr<CancellationToken> shutdown_token_;
 
-  /// Slot dispatch: created when either GuardrailConfig::scheduler is
-  /// enabled (tenant mode) or the legacy AdmissionConfig is (run as a
-  /// one-tenant scheduler reproducing the historical semantics). Null when
-  /// neither is configured — admission is then a no-op registration.
+  /// Slot dispatch: created when GuardrailConfig::scheduler is enabled.
+  /// Null otherwise — admission is then a no-op registration.
   /// Internally synchronized; owns per-tenant quota MemoryTrackers
   /// (children of root_memory_, so declared after it).
   std::unique_ptr<TenantScheduler> scheduler_;

@@ -13,8 +13,8 @@
 namespace cbqt {
 
 /// Telemetry of the MQO layer — batch formation, cross-query sub-plan
-/// sharing, and the shared-scan registry (folded into GuardrailStats and
-/// WorkloadRunReport).
+/// sharing, and the shared-scan registry (QueryEngine::mqo_stats(), and
+/// WorkloadRunReport::mqo).
 struct MqoStats {
   int64_t batches_formed = 0;   ///< optimization batches opened
   int64_t batch_queries = 0;    ///< queries that joined a batch

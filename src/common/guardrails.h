@@ -12,31 +12,6 @@ namespace cbqt {
 
 class FaultInjector;
 
-/// Admission-control knobs for QueryEngine. A query that arrives while
-/// `max_concurrent` queries are already running waits in a bounded queue;
-/// if the queue is full, or the wait exceeds `queue_timeout_ms`, the query
-/// is turned away with a fast typed kAdmissionRejected — overload yields
-/// cheap rejections instead of memory exhaustion.
-///
-/// Queueing requires BOTH `max_queued > 0` and `queue_timeout_ms > 0`: the
-/// queue bounds how many waiters can exist, the timeout bounds how long each
-/// one waits. With `queue_timeout_ms = 0` nothing ever waits — a query
-/// arriving while all slots are busy is rejected immediately even when
-/// `max_queued > 0` (the rejection message says so explicitly).
-struct AdmissionConfig {
-  /// 0 = admission control disabled (every query admitted immediately).
-  int max_concurrent = 0;
-  /// Queries allowed to wait for a slot beyond the concurrent ones.
-  /// Effective only together with a positive `queue_timeout_ms`.
-  int max_queued = 0;
-  /// How long a queued query waits before being rejected. 0 = no wait:
-  /// reject immediately when all slots are busy, regardless of
-  /// `max_queued`.
-  double queue_timeout_ms = 0;
-
-  bool enabled() const { return max_concurrent > 0; }
-};
-
 /// One tenant's scheduling contract under the tenant-aware scheduler
 /// (cbqt/scheduler.h). Weights buy proportional slot share under
 /// saturation; priority classes buy dispatch order (with aging so lower
@@ -74,9 +49,10 @@ inline constexpr int kNumPriorityClasses = 3;
 /// deficit-round-robin slot dispatch over per-tenant bounded queues, with
 /// priority classes, aging, per-tenant quotas, and an overload ladder
 /// (queue -> shrink optimizer budget -> shed lowest-priority work with a
-/// typed kTenantThrottled + retry-after hint). When enabled it replaces
-/// the single global AdmissionConfig queue; a query names its tenant via
-/// QueryOptions::tenant (unknown or empty names fall into
+/// typed kTenantThrottled + retry-after hint). It is the engine's one
+/// admission path: a single global queue is a config with only
+/// `default_tenant` (its max_queued, priority 0). A query names its tenant
+/// via QueryOptions::tenant (unknown or empty names fall into
 /// `default_tenant`).
 struct SchedulerConfig {
   bool enabled = false;
@@ -123,17 +99,8 @@ struct GuardrailConfig {
   int64_t engine_memory_bytes = 0;
   /// Per-query byte budget (child tracker limit). <= 0 = unlimited.
   int64_t query_memory_bytes = 0;
-  /// Single-queue admission control. Ignored when `scheduler` is enabled
-  /// (the scheduler subsumes it — internally a legacy AdmissionConfig is
-  /// run as a one-tenant scheduler).
-  AdmissionConfig admission;
-  /// Tenant-aware admission scheduling; replaces `admission` when enabled.
+  /// Admission control (tenant-aware scheduling); off unless enabled.
   SchedulerConfig scheduler;
-
-  bool enabled() const {
-    return engine_memory_bytes > 0 || query_memory_bytes > 0 ||
-           admission.enabled() || scheduler.enabled_and_valid();
-  }
 
   /// True when any tenant (or the default tenant) carries a byte quota —
   /// the engine then needs a root tracker even without engine/query

@@ -297,9 +297,10 @@ Fingerprint Fingerprinter::ComputeSelect(const QueryBlock& qb) {
     x = H(H(x, f.exact), alias);
   }
 
-  // FROM. Exact: every entry in order, but the first entry's join kind and
-  // ON conditions are not rendered. Canonical: each entry's rendering, with
-  // every maximal run of non-lateral inner entries sorted.
+  // FROM. Exact: every entry in order; the first entry's join kind and ON
+  // conditions only when rendered (non-inner or non-empty). Canonical: each
+  // entry's rendering, with every maximal run of non-lateral inner entries
+  // sorted.
   x = H(H(x, kTagFrom), qb.from.size());
   const size_t base = scratch_.size();
   for (size_t i = 0; i < qb.from.size(); ++i) {
@@ -318,11 +319,10 @@ Fingerprint Fingerprinter::ComputeSelect(const QueryBlock& qb) {
     const uint64_t tail = H(Name(tr.alias), tr.no_merge ? 1 : 0);
     Fingerprint on = List(kTagOn, tr.join_conds, /*sorted=*/true);
     x = H(H(x, body_x), tail);
-    if (i > 0) x = H(H(x, static_cast<uint64_t>(tr.join)), on.exact);
+    const bool joined = tr.join != JoinKind::kInner || !tr.join_conds.empty();
+    if (i > 0 || joined) x = H(H(x, static_cast<uint64_t>(tr.join)), on.exact);
     uint64_t ref = H(body_c, tail);
-    if (tr.join != JoinKind::kInner || !tr.join_conds.empty()) {
-      ref = H(H(ref, static_cast<uint64_t>(tr.join)), on.canonical);
-    }
+    if (joined) ref = H(H(ref, static_cast<uint64_t>(tr.join)), on.canonical);
     scratch_.push_back(ref);
   }
   for (size_t i = 0; i < qb.from.size();) {

@@ -22,7 +22,7 @@ namespace cbqt {
 ///   - `exact` partitions exactly like the unparsing (BlockToSql /
 ///     ExprToSql, sql/unparser.h): it covers the fields the unparser
 ///     renders, in rendering order, and nothing it leaves out (qb_name,
-///     literal parameter slots, the first FROM entry's join kind, ...).
+///     literal parameter slots, a base table's lateral flag, ...).
 ///
 /// Equal text implies equal hashes; equal hashes imply equal text up to a
 /// 64-bit hash collision per part. The cost-annotation cache keys blocks by

@@ -284,14 +284,13 @@ std::string BlockToSql(const QueryBlock& qb) {
     out += " FROM ";
     for (size_t i = 0; i < qb.from.size(); ++i) {
       const TableRef& tr = qb.from[i];
-      if (i == 0) {
-        out += TableRefToSql(tr);
-        continue;
-      }
       if (tr.join == JoinKind::kInner && tr.join_conds.empty()) {
-        out += ", " + TableRefToSql(tr);
+        out += (i == 0 ? "" : ", ") + TableRefToSql(tr);
       } else {
-        out += std::string(" ") +
+        // Parsed SQL never puts a join kind or ON on the first entry, but a
+        // transformation that erases FROM entries can; render it anyway so
+        // equal text still means equal blocks.
+        out += std::string(i == 0 ? "" : " ") +
                (tr.join == JoinKind::kInner ? "JOIN" : JoinKindName(tr.join)) +
                " " + TableRefToSql(tr);
         if (!tr.join_conds.empty()) {

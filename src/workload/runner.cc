@@ -25,9 +25,6 @@ void FoldOutcome(const WorkloadQuery& q, Result<QueryResult>& result,
       case StatusCode::kResourceExhausted:
         ++report->resource_exhausted;
         break;
-      case StatusCode::kAdmissionRejected:
-        ++report->admission_rejected;
-        break;
       case StatusCode::kTenantThrottled:
         ++report->tenant_throttled;
         break;
@@ -63,38 +60,13 @@ void FoldOutcome(const WorkloadQuery& q, Result<QueryResult>& result,
   report->measurements.push_back(std::move(m));
 }
 
-/// Folds the shared engine's end-of-run telemetry (plan cache, guardrails,
-/// MQO) into the report.
+/// Folds the shared engine's end-of-run telemetry (plan cache, MQO,
+/// scheduler, guardrails) into the report.
 void FoldEngineStats(const QueryEngine& engine, WorkloadRunReport* report) {
-  if (engine.plan_cache_enabled()) {
-    PlanCacheStats pcs = engine.plan_cache_stats();
-    report->plan_cache_hits = pcs.hits;
-    report->plan_cache_misses = pcs.misses;
-    report->plan_cache_upgrades = pcs.upgrades;
-    report->plan_cache_snapshot_loaded = pcs.snapshot_loaded;
-    report->plan_cache_snapshot_stale = pcs.snapshot_stale;
-    report->plan_cache_store_imports = pcs.store_imports;
-    report->plan_cache_store_publishes = pcs.store_publishes;
-    report->plan_cache_store_stale = pcs.store_stale;
-    report->plan_cache_rebind_recosts = pcs.rebind_recosts;
-  }
-  GuardrailStats gs = engine.guardrail_stats();
-  report->engine_peak_memory_bytes = gs.engine_peak_bytes;
-  report->cache_shed_bytes = gs.cache_shed_bytes;
-  report->memory_victims = gs.memory_victims;
-  report->scheduler_shed = gs.tenant_shed;
-  report->scheduler_budget_shrunk = gs.budget_shrunk;
-  report->scheduler_promotions = gs.aging_promotions;
-  if (engine.mqo_enabled()) {
-    MqoStats ms = engine.mqo_stats();
-    report->mqo_batches = ms.batches_formed;
-    report->mqo_shared_subplan_hits = ms.shared_subplan_hits;
-    report->mqo_scan_streams = ms.scan_streams + ms.materialize_streams;
-    report->mqo_scan_consumers = ms.scan_consumers;
-    report->mqo_rows_shared = ms.rows_shared;
-    report->mqo_bytes_saved = ms.bytes_saved;
-    report->mqo_pressure_fallbacks = ms.pressure_fallbacks;
-  }
+  report->plan_cache = engine.plan_cache_stats();
+  report->mqo = engine.mqo_stats();
+  report->scheduler = engine.scheduler_stats();
+  report->guardrails = engine.guardrail_stats();
 }
 
 }  // namespace

@@ -79,12 +79,10 @@ struct WorkloadRunReport {
   // the robustness acceptance test treats as a bug.
   int cancelled = 0;           ///< queries that unwound with kCancelled
   int resource_exhausted = 0;  ///< ... with kResourceExhausted
-  int admission_rejected = 0;  ///< ... turned away by admission control
-  int tenant_throttled = 0;    ///< ... shed by the tenant scheduler
+  int tenant_throttled = 0;    ///< ... turned away by admission control
   /// failed minus the typed guardrail categories above.
   int untyped_failures() const {
-    return failed - cancelled - resource_exhausted - admission_rejected -
-           tenant_throttled;
+    return failed - cancelled - resource_exhausted - tenant_throttled;
   }
 
   // Governor telemetry aggregated over the successful queries.
@@ -92,24 +90,6 @@ struct WorkloadRunReport {
   int searches_degraded = 0;         ///< searches that fell back to heuristics
   int failed_states = 0;             ///< fault-isolated state evaluations
 
-  // Plan-cache telemetry (all zero when CbqtConfig::plan_cache is off; the
-  // cache lives for the duration of one RunAll's shared engine).
-  int64_t plan_cache_hits = 0;
-  int64_t plan_cache_misses = 0;
-  int64_t plan_cache_upgrades = 0;
-  // Persistence / sharing counters (zero unless a snapshot path or shared
-  // store is configured on the plan cache).
-  int64_t plan_cache_snapshot_loaded = 0;  ///< entries warm-started from disk
-  int64_t plan_cache_snapshot_stale = 0;   ///< snapshot entries rejected
-  int64_t plan_cache_store_imports = 0;    ///< misses served by peer plans
-  int64_t plan_cache_store_publishes = 0;  ///< plans shared with peers
-  int64_t plan_cache_store_stale = 0;      ///< peer plans rejected
-  int64_t plan_cache_rebind_recosts = 0;   ///< hits re-costed on a band move
-
-  // Guardrail telemetry from the shared engine (zero when guardrails off).
-  int64_t engine_peak_memory_bytes = 0;  ///< root tracker high-water mark
-  int64_t cache_shed_bytes = 0;          ///< plan-cache bytes shed by pressure
-  int64_t memory_victims = 0;            ///< queries failed as pressure victims
   /// Largest per-query tracker peak over the successful queries.
   int64_t max_query_peak_bytes = 0;
 
@@ -119,21 +99,12 @@ struct WorkloadRunReport {
   int64_t spill_bytes_written = 0;
   int64_t spill_bytes_read = 0;
 
-  // Multi-query-optimization telemetry from the shared engine (all zero
-  // when CbqtConfig::mqo is off).
-  int64_t mqo_batches = 0;              ///< optimization batches formed
-  int64_t mqo_shared_subplan_hits = 0;  ///< batch-shared annotation hits
-  int64_t mqo_scan_streams = 0;         ///< shared scan+materialize streams
-  int64_t mqo_scan_consumers = 0;       ///< consumer attachments
-  int64_t mqo_rows_shared = 0;          ///< rows served from shared buffers
-  int64_t mqo_bytes_saved = 0;          ///< estimated bytes of those rows
-  int64_t mqo_pressure_fallbacks = 0;   ///< streams degraded under memory
-
-  // Tenant-scheduler telemetry from the shared engine (all zero unless
-  // GuardrailConfig::scheduler is enabled).
-  int64_t scheduler_shed = 0;           ///< queued waiters shed under overload
-  int64_t scheduler_budget_shrunk = 0;  ///< admissions with shrunk budgets
-  int64_t scheduler_promotions = 0;     ///< aging promotions (anti-starvation)
+  // End-of-run snapshots of the shared engine's telemetry (each all-zero
+  // when its layer is off; the engine lives for one RunAll/RunTenants).
+  PlanCacheStats plan_cache;
+  MqoStats mqo;
+  SchedulerStats scheduler;
+  GuardrailStats guardrails;
 
   /// Per-tenant latency/throughput digests (RunTenants only; empty
   /// otherwise), in the order the TenantSessions were given.

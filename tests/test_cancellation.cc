@@ -85,11 +85,11 @@ TEST_F(CancellationTest, CancelBeforeAdmitFailsFastWithoutWork) {
   CancellationToken token;
   token.Cancel();
 
-  auto prepared = engine.Prepare(kTwoSubquerySql, &token);
+  auto prepared = engine.Prepare(kTwoSubquerySql, {.cancel = &token});
   ASSERT_FALSE(prepared.ok());
   EXPECT_EQ(prepared.status().code(), StatusCode::kCancelled);
 
-  auto run = engine.Run(kTwoSubquerySql, &token);
+  auto run = engine.Run(kTwoSubquerySql, {.cancel = &token});
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kCancelled);
 
@@ -253,7 +253,7 @@ TEST_F(CancellationTest, CallerTokenSharedAcrossPrepareAndExecute) {
   Status worker_status;
   std::thread worker([&] {
     started.store(true);
-    auto result = engine.Run(kTwoSubquerySql, &token);
+    auto result = engine.Run(kTwoSubquerySql, {.cancel = &token});
     worker_status = result.ok() ? Status::OK() : result.status();
   });
   while (!started.load() || engine.ActiveQueryIds().empty()) {

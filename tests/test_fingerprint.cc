@@ -430,6 +430,16 @@ TEST(Fingerprint, ExactCoversWhatTheUnparserRenders) {
   EXPECT_EQ(BlockFingerprint(*a).exact, BlockFingerprint(*d).exact);
   EXPECT_NE(BlockSignature(*a), BlockSignature(*d));
   EXPECT_NE(BlockFingerprint(*a).canonical, BlockFingerprint(*d).canonical);
+  // The first FROM entry's join kind and ON conditions (only transformation
+  // output carries them) change both the text and the exact hash.
+  auto semi = a->Clone();
+  semi->from[0].join = JoinKind::kSemi;
+  EXPECT_NE(BlockToSql(*a), BlockToSql(*semi));
+  EXPECT_NE(BlockFingerprint(*a).exact, BlockFingerprint(*semi).exact);
+  auto on = a->Clone();
+  on->from[0].join_conds.push_back(a->where[0]->Clone());
+  EXPECT_NE(BlockToSql(*a), BlockToSql(*on));
+  EXPECT_NE(BlockFingerprint(*a).exact, BlockFingerprint(*on).exact);
 }
 
 }  // namespace

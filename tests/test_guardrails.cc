@@ -227,10 +227,10 @@ TEST_F(GuardrailTest, HalfPeakEngineBudgetCompletesWorkloadTyped) {
   WorkloadRunner runner(*db_);
   auto unconstrained = runner.RunAll(queries, cfg);
   ASSERT_EQ(unconstrained.failed, 0) << unconstrained.ErrorSummary();
-  ASSERT_GT(unconstrained.engine_peak_memory_bytes, 0);
+  ASSERT_GT(unconstrained.guardrails.engine_peak_bytes, 0);
 
   cfg.guardrails.engine_memory_bytes =
-      unconstrained.engine_peak_memory_bytes / 2;
+      unconstrained.guardrails.engine_peak_bytes / 2;
   auto constrained = runner.RunAll(queries, cfg);
   EXPECT_EQ(constrained.attempted, static_cast<int>(queries.size()));
   EXPECT_EQ(constrained.succeeded + constrained.failed, constrained.attempted);
@@ -240,9 +240,11 @@ TEST_F(GuardrailTest, HalfPeakEngineBudgetCompletesWorkloadTyped) {
 
 TEST_F(GuardrailTest, AdmissionRejectsImmediatelyWhenSaturated) {
   CbqtConfig cfg = UnnestOnlyConfig();
-  cfg.guardrails.admission.max_concurrent = 1;
-  cfg.guardrails.admission.max_queued = 0;
-  cfg.guardrails.admission.queue_timeout_ms = 0;
+  cfg.guardrails.scheduler.enabled = true;
+  cfg.guardrails.scheduler.max_concurrent = 1;
+  cfg.guardrails.scheduler.queue_timeout_ms = 0;
+  cfg.guardrails.scheduler.default_tenant.max_queued = 0;
+  cfg.guardrails.scheduler.default_tenant.priority = 0;
   cfg.fault_injector = std::make_shared<FaultInjector>(1);
   FaultSpec spec;
   spec.every_n = 1;
@@ -261,20 +263,22 @@ TEST_F(GuardrailTest, AdmissionRejectsImmediatelyWhenSaturated) {
 
   auto rejected = engine.Run(kJoinSql);
   ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kAdmissionRejected);
+  EXPECT_EQ(rejected.status().code(), StatusCode::kTenantThrottled);
   slow.join();
   EXPECT_TRUE(slow_status.ok()) << slow_status.ToString();
 
-  GuardrailStats gs = engine.guardrail_stats();
-  EXPECT_EQ(gs.admission_rejected, 1);
-  EXPECT_EQ(gs.admitted, 1);
+  SchedulerStats ss = engine.scheduler_stats();
+  EXPECT_EQ(ss.throttled, 1);
+  EXPECT_EQ(engine.guardrail_stats().admitted, 1);
 }
 
 TEST_F(GuardrailTest, AdmissionQueueTimesOutWithTypedRejection) {
   CbqtConfig cfg = UnnestOnlyConfig();
-  cfg.guardrails.admission.max_concurrent = 1;
-  cfg.guardrails.admission.max_queued = 1;
-  cfg.guardrails.admission.queue_timeout_ms = 20;
+  cfg.guardrails.scheduler.enabled = true;
+  cfg.guardrails.scheduler.max_concurrent = 1;
+  cfg.guardrails.scheduler.queue_timeout_ms = 20;
+  cfg.guardrails.scheduler.default_tenant.max_queued = 1;
+  cfg.guardrails.scheduler.default_tenant.priority = 0;
   cfg.fault_injector = std::make_shared<FaultInjector>(1);
   FaultSpec spec;
   spec.every_n = 1;
@@ -293,20 +297,22 @@ TEST_F(GuardrailTest, AdmissionQueueTimesOutWithTypedRejection) {
 
   auto timed_out = engine.Run(kJoinSql);
   ASSERT_FALSE(timed_out.ok());
-  EXPECT_EQ(timed_out.status().code(), StatusCode::kAdmissionRejected);
+  EXPECT_EQ(timed_out.status().code(), StatusCode::kTenantThrottled);
   slow.join();
   EXPECT_TRUE(slow_status.ok()) << slow_status.ToString();
 
-  GuardrailStats gs = engine.guardrail_stats();
-  EXPECT_EQ(gs.queued, 1);
-  EXPECT_EQ(gs.admission_rejected, 1);
+  SchedulerStats ss = engine.scheduler_stats();
+  EXPECT_EQ(ss.queued, 1);
+  EXPECT_EQ(ss.throttled, 1);
 }
 
 TEST_F(GuardrailTest, AdmissionQueueGrantsFreedSlot) {
   CbqtConfig cfg = UnnestOnlyConfig();
-  cfg.guardrails.admission.max_concurrent = 1;
-  cfg.guardrails.admission.max_queued = 2;
-  cfg.guardrails.admission.queue_timeout_ms = 10000;
+  cfg.guardrails.scheduler.enabled = true;
+  cfg.guardrails.scheduler.max_concurrent = 1;
+  cfg.guardrails.scheduler.queue_timeout_ms = 10000;
+  cfg.guardrails.scheduler.default_tenant.max_queued = 2;
+  cfg.guardrails.scheduler.default_tenant.priority = 0;
   cfg.fault_injector = std::make_shared<FaultInjector>(1);
   FaultSpec spec;
   spec.every_n = 1;
@@ -328,10 +334,10 @@ TEST_F(GuardrailTest, AdmissionQueueGrantsFreedSlot) {
   slow.join();
   EXPECT_TRUE(slow_status.ok()) << slow_status.ToString();
 
-  GuardrailStats gs = engine.guardrail_stats();
-  EXPECT_EQ(gs.queued, 1);
-  EXPECT_EQ(gs.admission_rejected, 0);
-  EXPECT_EQ(gs.admitted, 2);
+  SchedulerStats ss = engine.scheduler_stats();
+  EXPECT_EQ(ss.queued, 1);
+  EXPECT_EQ(ss.throttled, 0);
+  EXPECT_EQ(engine.guardrail_stats().admitted, 2);
 }
 
 // Engine-shutdown ordering: destroying the engine while a background

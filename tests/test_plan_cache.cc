@@ -800,9 +800,9 @@ TEST_F(PlanCacheTest, WorkloadReportSurfacesPersistenceCounters) {
   EXPECT_EQ(report.failed, 0) << report.ErrorSummary();
   // The runner's engine imported the seeded peer plan (or republished its
   // own): the persistence counters flow through to the report.
-  EXPECT_GE(report.plan_cache_store_imports + report.plan_cache_store_publishes,
+  EXPECT_GE(report.plan_cache.store_imports + report.plan_cache.store_publishes,
             1);
-  EXPECT_GE(report.plan_cache_hits + report.plan_cache_misses, 2);
+  EXPECT_GE(report.plan_cache.hits + report.plan_cache.misses, 2);
 }
 
 }  // namespace

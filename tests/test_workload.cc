@@ -286,6 +286,10 @@ TEST_F(WorkloadTest, TenantThrottlingIsTypedNeverUntyped) {
   EXPECT_EQ(report.failed, report.tenant_throttled);
   EXPECT_GT(report.tenant_throttled, 0)
       << "six sessions on a one-slot, one-queue scheduler never throttled";
+  // Every kTenantThrottled a caller sees is an arrival/timeout throttle or a
+  // shed, so the folded scheduler snapshot accounts for all of them.
+  EXPECT_GE(report.scheduler.throttled + report.scheduler.shed,
+            report.tenant_throttled);
   ASSERT_EQ(report.per_tenant.size(), 1u);
   EXPECT_EQ(report.per_tenant[0].gave_up_throttled, report.tenant_throttled);
   EXPECT_EQ(report.per_tenant[0].succeeded + report.per_tenant[0].failed,
